@@ -1,5 +1,6 @@
 #include "circuit/serialize.hpp"
 
+#include <charconv>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -9,6 +10,18 @@
 namespace elv::circ {
 
 namespace {
+
+/** The whitespace-separated tokens of one line. */
+std::vector<std::string>
+split_tokens(const std::string &line)
+{
+    std::istringstream ls(line);
+    std::vector<std::string> tokens;
+    std::string token;
+    while (ls >> token)
+        tokens.push_back(token);
+    return tokens;
+}
 
 /** QASM gate name for a kind (lower case per the spec). */
 std::string
@@ -121,6 +134,16 @@ from_text(const std::string &text)
     auto fail = [](const std::string &why) -> void {
         elv::fatal("malformed circuit text: " + why);
     };
+    // Every number is a whole token: "2feat" or "29999x" is an error,
+    // never a silently truncated 2 or 29999.
+    auto number = [&fail, &line](const std::string &token) -> int {
+        int value = 0;
+        const char *end = token.data() + token.size();
+        const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+        if (ec != std::errc() || ptr != end)
+            fail("bad number '" + token + "': " + line);
+        return value;
+    };
 
     if (!std::getline(iss, line) || line != "elv-circuit 1")
         fail("missing 'elv-circuit 1' header");
@@ -137,10 +160,11 @@ from_text(const std::string &text)
     {
         if (!std::getline(iss, line))
             fail("missing 'qubits' line");
-        std::istringstream ls(line);
-        std::string keyword;
-        ls >> keyword >> num_qubits;
-        if (keyword != "qubits" || num_qubits < 1)
+        const auto tokens = split_tokens(line);
+        if (tokens.size() != 2 || tokens[0] != "qubits")
+            fail("bad 'qubits' line: " + line);
+        num_qubits = number(tokens[1]);
+        if (num_qubits < 1)
             fail("bad 'qubits' line: " + line);
     }
 
@@ -149,58 +173,57 @@ from_text(const std::string &text)
     while (std::getline(iss, line)) {
         if (line.empty())
             continue;
-        std::istringstream ls(line);
-        std::string keyword;
-        ls >> keyword;
+        const auto tokens = split_tokens(line);
+        const std::string keyword = tokens.empty() ? "" : tokens[0];
 
         if (keyword == "measure") {
             std::vector<int> measured;
-            int q;
-            while (ls >> q)
-                measured.push_back(q);
+            for (std::size_t i = 1; i < tokens.size(); ++i)
+                measured.push_back(number(tokens[i]));
             circuit.set_measured(measured);
             measured_seen = true;
             continue;
         }
         if (keyword == "ampembed") {
+            if (tokens.size() != 1)
+                fail("trailing tokens: " + line);
             circuit.add_amplitude_embedding();
             continue;
         }
 
-        std::string name;
-        ls >> name;
+        const std::string name = tokens.size() > 1 ? tokens[1] : "";
         const auto it = kinds.find(name);
         if (it == kinds.end())
             fail("unknown gate '" + name + "'");
         const GateKind kind = it->second;
 
-        std::vector<int> qubits(
-            static_cast<std::size_t>(gate_num_qubits(kind)));
-        for (int &q : qubits)
-            if (!(ls >> q))
-                fail("missing qubit operand: " + line);
+        const std::size_t arity =
+            static_cast<std::size_t>(gate_num_qubits(kind));
+        if (tokens.size() < 2 + arity)
+            fail("missing qubit operand: " + line);
+        std::vector<int> qubits(arity);
+        for (std::size_t k = 0; k < arity; ++k)
+            qubits[k] = number(tokens[2 + k]);
+        const std::size_t rest = 2 + arity;
 
-        if (keyword == "gate") {
-            circuit.add_gate(kind, qubits);
-        } else if (keyword == "var") {
-            circuit.add_variational(kind, qubits);
+        if (keyword == "gate" || keyword == "var") {
+            if (tokens.size() != rest)
+                fail("trailing tokens: " + line);
+            if (keyword == "gate")
+                circuit.add_gate(kind, qubits);
+            else
+                circuit.add_variational(kind, qubits);
         } else if (keyword == "embed") {
-            std::string feat_kw, spec;
-            ls >> feat_kw >> spec;
-            if (feat_kw != "feat" || spec.empty())
+            if (tokens.size() < rest + 2 || tokens[rest] != "feat")
                 fail("embedding without 'feat': " + line);
-            int feature = -1, feature2 = -1;
+            if (tokens.size() != rest + 2)
+                fail("trailing tokens: " + line);
+            const std::string &spec = tokens[rest + 1];
             const auto star = spec.find('*');
-            try {
-                if (star == std::string::npos) {
-                    feature = std::stoi(spec);
-                } else {
-                    feature = std::stoi(spec.substr(0, star));
-                    feature2 = std::stoi(spec.substr(star + 1));
-                }
-            } catch (const std::exception &) {
-                fail("bad feature spec: " + spec);
-            }
+            const int feature = number(spec.substr(0, star));
+            const int feature2 = star == std::string::npos
+                                     ? -1
+                                     : number(spec.substr(star + 1));
             circuit.add_embedding(kind, qubits, feature, feature2);
         } else {
             fail("unknown directive '" + keyword + "'");

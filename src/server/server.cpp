@@ -640,12 +640,11 @@ Server::run_job(const RecordPtr &rec)
         json.kv("degraded_candidates", result.degraded_candidates);
         json.kv("resumed", result.resumed);
         json.kv("total_seconds", result.total_seconds);
-        // Execution provenance: which kernel tier and precision this
-        // result was computed with (PR 7), so artifacts from mixed
-        // fleets stay self-describing.
+        // Execution provenance: which kernel tier this result was
+        // computed with, so artifacts from mixed fleets stay
+        // self-describing.
         json.kv("kernel_dispatch",
                 sim::kernel_tier_name(sim::active_tier()));
-        json.kv("precision", rec->spec.precision);
         if (trace_ok)
             json.kv("trace", job_path(rec->id, ".trace.json"));
         json.kv("circuit", circ::to_text_line(result.best_circuit));

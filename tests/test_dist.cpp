@@ -157,7 +157,7 @@ TEST(DistPartition, MoreShardsThanWorkYieldsEmptyRanges)
 TEST(DistWire, ConfigureRoundTrip)
 {
     srv::JobSpec spec = small_spec();
-    spec.precision = "f32";
+    spec.device = "ibm_perth";
     const std::string line = make_configure(spec, 3, 0xdeadbeefcafe01ULL, 4);
     CoordRequest request;
     std::string error;
@@ -166,7 +166,7 @@ TEST(DistWire, ConfigureRoundTrip)
     EXPECT_EQ(request.spec.benchmark, spec.benchmark);
     EXPECT_EQ(request.spec.candidates, spec.candidates);
     EXPECT_EQ(request.spec.seed, spec.seed);
-    EXPECT_EQ(request.spec.precision, "f32");
+    EXPECT_EQ(request.spec.device, "ibm_perth");
     EXPECT_EQ(request.threads, 3);
     EXPECT_EQ(request.fingerprint, 0xdeadbeefcafe01ULL);
     EXPECT_EQ(request.crash_after, 4);
@@ -374,7 +374,8 @@ TEST(DistDeterminism, StateDirResumesUnderDifferentWorkerCount)
 }
 
 /** A state_dir written under a different configuration is refused,
- * with the likely culprit named (precision here). */
+ * naming both fingerprints. No JobSpec field maps to a single-field
+ * hint probe; test_resilience covers the hint itself. */
 TEST(DistDeterminism, StateDirFromDifferentConfigRefusedWithHint)
 {
     const srv::JobSpec spec = small_spec();
@@ -385,7 +386,7 @@ TEST(DistDeterminism, StateDirFromDifferentConfigRefusedWithHint)
     distributed_search(spec, first);
 
     srv::JobSpec flipped = spec;
-    flipped.precision = "f32";
+    flipped.candidates = spec.candidates + 1;
     DistConfig second = dist_config(2);
     second.state_dir = state_dir;
     try {
@@ -394,7 +395,9 @@ TEST(DistDeterminism, StateDirFromDifferentConfigRefusedWithHint)
     } catch (const elv::UsageError &e) {
         const std::string what = e.what();
         EXPECT_NE(what.find("fingerprint"), std::string::npos) << what;
-        EXPECT_NE(what.find("precision"), std::string::npos) << what;
+        EXPECT_NE(what.find("stored fingerprint"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("expected"), std::string::npos) << what;
     }
 }
 

@@ -524,8 +524,8 @@ TEST(LintPlumbing, CatalogCoversEveryRule)
         "qubit-bounds",   "param-binding",    "embedding-order",
         "connectivity",   "clifford-replica", "measurement",
         "dead-code",      "fusion-barrier",   "device-topology",
-        "device-calibration", "precision-misuse", "dead-lightcone",
-        "dead-parameter", "clifford-region"};
+        "device-calibration", "dead-lightcone", "dead-parameter",
+        "clifford-region"};
     for (const char *id : expected) {
         bool found = false;
         for (const auto &rule : catalog)

@@ -311,7 +311,7 @@ TEST(Resilience, FingerprintMismatchNamesBothPrintsAndLikelyCulprit)
     // The refusing-to-resume message must carry enough to debug it
     // from a log line alone: the stored fingerprint, the expected
     // one, and — when a single-field change explains the difference —
-    // which knob moved. Precision flips are the realistic culprit.
+    // which knob moved: here the CNR backend.
     const qml::Benchmark bench = qml::make_benchmark("moons", 10, 0.1);
     const dev::Device device = dev::make_device("ibm_lagos");
     ElivagarConfig config = small_search_config(bench.spec.dim);
@@ -320,8 +320,7 @@ TEST(Resilience, FingerprintMismatchNamesBothPrintsAndLikelyCulprit)
     const std::uint64_t stored = config_fingerprint(config);
 
     ElivagarConfig flipped = config;
-    flipped.cnr.precision = sim::Precision::Float32Proxy;
-    flipped.repcap.precision = sim::Precision::Float32Proxy;
+    flipped.cnr.backend = CnrBackend::Stabilizer;
     try {
         elivagar_search(device, bench.train, flipped);
         FAIL() << "expected the mismatched journal to be refused";
@@ -336,9 +335,16 @@ TEST(Resilience, FingerprintMismatchNamesBothPrintsAndLikelyCulprit)
                           config_fingerprint(flipped)));
         EXPECT_NE(what.find(stored_hex), std::string::npos) << what;
         EXPECT_NE(what.find(expected_hex), std::string::npos) << what;
-        EXPECT_NE(what.find("precision"), std::string::npos) << what;
+        EXPECT_NE(what.find("CNR backend"), std::string::npos) << what;
     }
     std::remove(config.resilience.checkpoint_path.c_str());
+}
+
+TEST(Resilience, DefaultConfigFingerprintIsPinned)
+{
+    // Journals written before the retired precision field left the
+    // fingerprint carry this value; it must never drift.
+    EXPECT_EQ(config_fingerprint(ElivagarConfig{}), 0x902d077d099a5636ULL);
 }
 
 TEST(Resilience, FingerprintHintCoversSingleFieldMutations)
@@ -346,13 +352,12 @@ TEST(Resilience, FingerprintHintCoversSingleFieldMutations)
     const qml::Benchmark bench = qml::make_benchmark("moons", 10, 0.1);
     ElivagarConfig config = small_search_config(bench.spec.dim);
 
-    // Joint precision flip (the CLI's --precision).
+    // CNR backend flip (density vs stabilizer).
     ElivagarConfig mutated = config;
-    mutated.cnr.precision = sim::Precision::Float32Proxy;
-    mutated.repcap.precision = sim::Precision::Float32Proxy;
+    mutated.cnr.backend = CnrBackend::Stabilizer;
     std::string hint = fingerprint_mismatch_hint(
         config, config_fingerprint(mutated));
-    EXPECT_NE(hint.find("precision"), std::string::npos) << hint;
+    EXPECT_NE(hint.find("CNR backend"), std::string::npos) << hint;
 
     // use_cnr toggle (the RepCap-only ablation).
     mutated = config;

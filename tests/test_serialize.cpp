@@ -112,6 +112,21 @@ TEST(TextFormat, RejectsMalformedInput)
     // Missing measure line.
     EXPECT_THROW(from_text("elv-circuit 1\nqubits 2\ngate H 0\n"),
                  elv::UsageError);
+    // Numbers are whole tokens and no line takes trailing tokens.
+    const char *bad_lines[] = {
+        "qubits 3x\nmeasure 0\n",
+        "qubits 3\nmeasure 0 1x\n",
+        "qubits 3\ngate CX 1 2feat\nmeasure 0\n",
+        "qubits 3\nembed RZ 2 feat 29999x\nmeasure 0\n",
+        "qubits 3 4\nmeasure 0\n",
+        "qubits 3\ngate CX 1 2 feat\nmeasure 0\n",
+        "qubits 3\nvar RY 0 1\nmeasure 0\n",
+        "qubits 3\nembed RZ 2 feat 1 7\nmeasure 0\n",
+    };
+    for (const char *body : bad_lines)
+        EXPECT_THROW(from_text(std::string("elv-circuit 1\n") + body),
+                     elv::UsageError)
+            << body;
 }
 
 TEST(Qasm, EmitsBoundAngles)

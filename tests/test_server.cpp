@@ -23,6 +23,8 @@
 #include <thread>
 
 #include "common/logging.hpp"
+#include "core/search.hpp"
+#include "qml/synthetic.hpp"
 #include "server/http.hpp"
 #include "server/job.hpp"
 #include "server/json_value.hpp"
@@ -226,6 +228,40 @@ TEST(JobSpec, FromJsonRejectsBadFields)
     EXPECT_FALSE(JobSpec::from_json(value, spec, error));
     ASSERT_TRUE(json_parse(R"([1,2])", value, error));
     EXPECT_FALSE(JobSpec::from_json(value, spec, error));
+}
+
+/** config_fingerprint of the default server job. The literal is the
+ *  value journals and manifests were stamped with before the retired
+ *  precision field left the fingerprint; it must never drift. */
+constexpr std::uint64_t kDefaultJobFingerprint = 0x7fbc3acbff8e9005ULL;
+
+std::uint64_t
+job_fingerprint(const JobSpec &spec)
+{
+    return core::config_fingerprint(job_search_config(
+        spec, qml::benchmark_spec(spec.benchmark), 1, ""));
+}
+
+TEST(JobSpec, DefaultConfigFingerprintIsPinned)
+{
+    EXPECT_EQ(job_fingerprint(JobSpec{}), kDefaultJobFingerprint);
+}
+
+TEST(JobSpec, FromJsonIgnoresRetiredPrecisionKey)
+{
+    // A manifest written before the precision field was removed, in
+    // the exact form JobSpec::to_json used to emit.
+    const char *legacy =
+        R"({"benchmark": "moons", "device": "ibm_lagos", )"
+        R"("candidates": 16, "seed": 7, "scale": 0.20000000000000001, )"
+        R"("priority": 0, "deadline_sec": 0, "precision": "f64", )"
+        R"("workers": 0})";
+    JsonValue value;
+    std::string error;
+    ASSERT_TRUE(json_parse(legacy, value, error)) << error;
+    JobSpec spec;
+    ASSERT_TRUE(JobSpec::from_json(value, spec, error)) << error;
+    EXPECT_EQ(job_fingerprint(spec), kDefaultJobFingerprint);
 }
 
 TEST(JobState, NamesRoundTripAndTerminality)
