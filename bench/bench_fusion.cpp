@@ -152,9 +152,9 @@ time_statevector(const circ::Circuit &c, int qubits, int reps)
         psi.run(c, params);
     t.plain_s = seconds_since(start) / reps;
 
-    // Compile outside the timed loop: the fusion cache amortizes
-    // compilation across the thousands of re-executions of real
-    // workloads (CNR replicas, RepCap inits, training epochs).
+    // Compile outside the timed loop: callers that re-execute a circuit
+    // (the trainer, parameter-shift gradients) hold its program across
+    // the re-executions.
     const sim::FusedProgram program = sim::FusedProgram::compile(c);
     t.ops_merged = program.ops_merged();
     // Scalar vs SIMD: same compiled program, different kernel tier, so

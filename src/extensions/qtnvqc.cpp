@@ -7,6 +7,7 @@
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "qml/optimizer.hpp"
+#include "sim/fusion.hpp"
 #include "sim/gradients.hpp"
 #include "sim/observable.hpp"
 
@@ -112,6 +113,7 @@ QtnVqc::train_joint(const circ::Circuit &circuit, const qml::Dataset &data,
     qml::Adam optimizer(flat.size(), config_.learning_rate);
     const auto projectors =
         sim::class_projectors(local.measured(), data.num_classes);
+    const sim::FusedProgram program = sim::FusedProgram::compile(local);
 
     std::vector<std::size_t> order(data.samples.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
@@ -161,8 +163,8 @@ QtnVqc::train_joint(const circ::Circuit &circuit, const qml::Dataset &data,
                     flat.begin() + static_cast<std::ptrdiff_t>(np));
                 const std::vector<sim::DiagonalObservable> obs = {
                     projectors[static_cast<std::size_t>(label)]};
-                const auto g = sim::adjoint_gradient(local, params, y,
-                                                     obs, true);
+                const auto g = sim::adjoint_gradient(local, program, params,
+                                                     y, obs, true);
                 exec_count += g.circuit_executions;
 
                 const double p_y = std::max(g.values[0], 1e-10);

@@ -6,6 +6,7 @@
 #include "circuit/serialize.hpp"
 #include "common/logging.hpp"
 #include "common/statistics.hpp"
+#include "obs/metrics.hpp"
 #include "sim/fusion.hpp"
 #include "sim/statevector.hpp"
 
@@ -94,10 +95,15 @@ NoisyDensitySimulator::program_for(const circ::Circuit &circuit,
     const std::string key = circ::to_text_line(circuit);
     std::lock_guard<std::mutex> lock(cache_mutex_);
     auto it = cache_.find(key);
-    if (it != cache_.end())
+    if (it != cache_.end()) {
+        ELV_METRIC_COUNT("cache.noisy_program.hits");
         return it->second;
-    if (cache_.size() >= 128)
+    }
+    ELV_METRIC_COUNT("cache.noisy_program.misses");
+    if (cache_.size() >= 128) {
+        ELV_METRIC_COUNT_N("cache.noisy_program.evictions", cache_.size());
         cache_.clear();
+    }
     auto program = std::make_shared<const NoisyProgram>(
         NoisyProgram::compile(local, kept, device_, scale_));
     cache_.emplace(key, program);
@@ -200,8 +206,7 @@ NoisyDensitySimulator::fidelity(const circ::Circuit &circuit,
     const circ::Circuit local = circuit.compacted(kept);
     sim::StateVector psi(local.num_qubits());
     if (fused_) {
-        // Compile locally instead of through the global FusionCache:
-        // CNR replicas are one-shot circuits and would churn it.
+        // CNR replicas are one-shot circuits: compile per call.
         sim::FusedProgram::compile(local).run(psi, params, x);
     } else {
         psi.run(local, params, x);

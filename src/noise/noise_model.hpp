@@ -113,7 +113,9 @@ class NoisyDensitySimulator
      * Bounded program cache keyed by the exact serialization of the
      * *original* (pre-compaction) circuit — physical qubit labels
      * determine the noise, so the original text is the right key.
-     * Cleared wholesale at capacity, like sim::FusionCache.
+     * Cleared wholesale at capacity (128 entries). Counters:
+     * cache.noisy_program.{hits,misses} per lookup and
+     * cache.noisy_program.evictions for the entries each clear drops.
      */
     mutable std::mutex cache_mutex_;
     mutable std::unordered_map<std::string,

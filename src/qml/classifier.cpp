@@ -12,6 +12,51 @@
 
 namespace elv::qml {
 
+namespace {
+
+/**
+ * Measured-qubit outcome distribution of `program` (compiled from a
+ * compacted circuit measuring `measured`) on one sample; `psi` is
+ * scratch sized to the program.
+ */
+std::vector<double>
+measured_distribution(const sim::FusedProgram &program,
+                      const std::vector<int> &measured,
+                      const std::vector<double> &params,
+                      const std::vector<double> &x, sim::StateVector &psi)
+{
+    program.run(psi, params, x);
+    auto probs = psi.probabilities(measured);
+    // Numerical guardrail at the DistributionFn boundary: NaN or lost
+    // mass here silently corrupts every downstream loss.
+    elv::validate_distribution(probs, elv::DistributionPolicy::Renormalize,
+                               "statevector distribution");
+    return probs;
+}
+
+/** Loss and accuracy over `data`, one outcome distribution per sample. */
+template <typename OutcomeFn>
+EvalResult
+evaluate_outcomes(const Dataset &data, OutcomeFn &&outcome)
+{
+    ELV_REQUIRE(!data.samples.empty(), "empty evaluation set");
+    EvalResult result;
+    int correct = 0;
+    for (std::size_t i = 0; i < data.samples.size(); ++i) {
+        const auto probs = class_probabilities_from(
+            outcome(data.samples[i]), data.num_classes);
+        result.loss += cross_entropy(probs, data.labels[i]);
+        if (predict_class(probs) == data.labels[i])
+            ++correct;
+    }
+    result.loss /= static_cast<double>(data.samples.size());
+    result.accuracy = static_cast<double>(correct) /
+                      static_cast<double>(data.samples.size());
+    return result;
+}
+
+} // namespace
+
 DistributionFn
 statevector_distribution()
 {
@@ -21,16 +66,8 @@ statevector_distribution()
         std::vector<int> kept;
         const circ::Circuit local = circuit.compacted(kept);
         sim::StateVector psi(local.num_qubits());
-        // Cached fused execution: evaluation sweeps re-run the same
-        // circuit once per sample.
-        sim::fused_run(psi, local, params, x);
-        auto probs = psi.probabilities(local.measured());
-        // Numerical guardrail at the DistributionFn boundary: NaN or
-        // lost mass here silently corrupts every downstream loss.
-        elv::validate_distribution(probs,
-                                   elv::DistributionPolicy::Renormalize,
-                                   "statevector distribution");
-        return probs;
+        return measured_distribution(sim::FusedProgram::compile(local),
+                                     local.measured(), params, x, psi);
     };
 }
 
@@ -117,28 +154,25 @@ EvalResult
 evaluate(const circ::Circuit &circuit, const std::vector<double> &params,
          const Dataset &data, const DistributionFn &dist_fn)
 {
-    ELV_REQUIRE(!data.samples.empty(), "empty evaluation set");
-    EvalResult result;
-    int correct = 0;
-    for (std::size_t i = 0; i < data.samples.size(); ++i) {
-        const auto outcome = dist_fn(circuit, params, data.samples[i]);
-        const auto probs =
-            class_probabilities_from(outcome, data.num_classes);
-        result.loss += cross_entropy(probs, data.labels[i]);
-        if (predict_class(probs) == data.labels[i])
-            ++correct;
-    }
-    result.loss /= static_cast<double>(data.samples.size());
-    result.accuracy = static_cast<double>(correct) /
-                      static_cast<double>(data.samples.size());
-    return result;
+    return evaluate_outcomes(data, [&](const std::vector<double> &x) {
+        return dist_fn(circuit, params, x);
+    });
 }
 
 EvalResult
 evaluate(const circ::Circuit &circuit, const std::vector<double> &params,
          const Dataset &data)
 {
-    return evaluate(circuit, params, data, statevector_distribution());
+    // statevector_distribution() per sample, with the compaction and
+    // the compile hoisted out of the loop.
+    std::vector<int> kept;
+    const circ::Circuit local = circuit.compacted(kept);
+    const sim::FusedProgram program = sim::FusedProgram::compile(local);
+    sim::StateVector psi(local.num_qubits());
+    return evaluate_outcomes(data, [&](const std::vector<double> &x) {
+        return measured_distribution(program, local.measured(), params, x,
+                                     psi);
+    });
 }
 
 } // namespace elv::qml

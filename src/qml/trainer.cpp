@@ -12,6 +12,7 @@
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "qml/optimizer.hpp"
+#include "sim/fusion.hpp"
 #include "sim/gradients.hpp"
 #include "sim/observable.hpp"
 
@@ -130,6 +131,8 @@ train_circuit(const circ::Circuit &circuit, const Dataset &data,
     Adam optimizer(result.params.size(), config.learning_rate);
     const auto projectors =
         sim::class_projectors(local.measured(), data.num_classes);
+    // Compiled once for the whole call; pool threads share it read-only.
+    const sim::FusedProgram program = sim::FusedProgram::compile(local);
 
     // Guard the training loop against a misbehaving provider: one NaN
     // distribution would silently poison the Adam moments for good.
@@ -213,9 +216,11 @@ train_circuit(const circ::Circuit &circuit, const Dataset &data,
                                 data.labels[idx])]};
                         return config.backend == GradientBackend::Adjoint
                                    ? sim::adjoint_gradient(
-                                         local, result.params, x, obs)
+                                         local, program, result.params,
+                                         x, obs)
                                    : sim::parameter_shift_gradient(
-                                         local, result.params, x, obs);
+                                         local, program, result.params,
+                                         x, obs);
                     });
             }
 

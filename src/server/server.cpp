@@ -475,16 +475,16 @@ Server::worker_loop()
 {
     while (true) {
         RecordPtr rec;
-        int quota = 0;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             cv_.wait(lock, [this] {
-                return stopping_ || (!draining_ && !queue_.empty());
+                return stopping_ || (!draining_ && !dispatch_held_ &&
+                                     !queue_.empty());
             });
             if (stopping_)
                 return;
             rec = pop_best_locked();
-            quota = quota_for_depth_locked(queue_.size());
+            const int quota = quota_for_depth_locked(queue_.size());
             rec->thread_quota = quota;
             rec->state = JobState::Running;
             append_manifest_locked("state " + rec->id + " running");
@@ -497,26 +497,14 @@ Server::worker_loop()
             bump_epoch_locked();
         }
 
-        const auto job_start = std::chrono::steady_clock::now();
         run_job(rec);
-
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            --running_;
-            threads_in_use_ -= quota;
-            ELV_METRIC_GAUGE_ADD("server.jobs.running", -1);
-            const double ms = seconds_since(job_start) * 1000.0;
-            job_ms_ewma_ = job_ms_ewma_ <= 0.0
-                               ? ms
-                               : 0.7 * job_ms_ewma_ + 0.3 * ms;
-            bump_epoch_locked();
-        }
     }
 }
 
 void
 Server::run_job(const RecordPtr &rec)
 {
+    const auto job_start = std::chrono::steady_clock::now();
     const std::shared_ptr<elv::CancelToken> token = rec->token;
     token->set_deadline_after(rec->spec.deadline_sec);
 
@@ -657,6 +645,14 @@ Server::run_job(const RecordPtr &rec)
     }
 
     std::lock_guard<std::mutex> lock(mutex_);
+    // Free the worker slot and quota in the critical section that
+    // publishes the outcome: no reader may see a terminal job whose
+    // threads are still granted.
+    --running_;
+    threads_in_use_ -= rec->thread_quota;
+    ELV_METRIC_GAUGE_ADD("server.jobs.running", -1);
+    const double ms = seconds_since(job_start) * 1000.0;
+    job_ms_ewma_ = job_ms_ewma_ <= 0.0 ? ms : 0.7 * job_ms_ewma_ + 0.3 * ms;
     rec->phase.clear();
     rec->trace_written = trace_ok;
     if (rec->abandoned) {
@@ -951,6 +947,14 @@ Server::wait_for_change(std::uint64_t last_seen,
                          std::max(0.0, timeout_sec))),
                  [&] { return epoch_ != last_seen || stopping_; });
     return epoch_;
+}
+
+void
+Server::hold_dispatch(bool held)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    dispatch_held_ = held;
+    bump_epoch_locked();
 }
 
 int

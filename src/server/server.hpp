@@ -194,6 +194,14 @@ class Server
                                   double timeout_sec) const;
     /** @} */
 
+    /**
+     * Hold (true) or resume (false) job dispatch. While held, workers
+     * start no queued job; admission, shedding and cancellation carry
+     * on. Tests use it to pin a queue state a worker would otherwise
+     * race to drain.
+     */
+    void hold_dispatch(bool held);
+
     /** Simulator threads currently granted to running jobs. */
     int threads_in_use() const;
 
@@ -263,6 +271,7 @@ class Server
     int threads_in_use_ = 0;
     bool draining_ = false;
     bool stopping_ = false;
+    bool dispatch_held_ = false;
     bool stopped_ = false;
 
     /** Lifetime tallies (health endpoint). */

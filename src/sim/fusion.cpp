@@ -203,11 +203,4 @@ FusionCache::clear()
     programs_.clear();
 }
 
-void
-fused_run(StateVector &psi, const circ::Circuit &circuit,
-          const std::vector<double> &params, const std::vector<double> &x)
-{
-    FusionCache::global().get(circuit)->run(psi, params, x);
-}
-
 } // namespace elv::sim

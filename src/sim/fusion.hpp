@@ -16,9 +16,12 @@
  * FusedProgram::run matches StateVector::run up to floating-point
  * reassociation within each fused group (~1e-15 per amplitude).
  *
- * The process-wide FusionCache memoizes compiled programs by the exact
- * serialized circuit text, so CNR replicas, RepCap re-executions and
- * parameter-shift loops compile once per distinct circuit.
+ * Callers that replay one circuit many times compile it once and keep
+ * the program: the trainer compiles its circuit before the epoch loop
+ * and shares the program read-only across pool threads, and one
+ * parameter-shift gradient replays one program for all 2P+1 runs.
+ * One-shot callers compile per call: at 4-6 qubits that is cheaper than
+ * a FusionCache hit (measured below).
  */
 #pragma once
 
@@ -103,10 +106,17 @@ class FusedProgram
 
 /**
  * Process-wide cache of compiled FusedPrograms keyed by the exact
- * circuit serialization (collision-free). Bounded: the cache is
- * cleared wholesale when it reaches capacity, which keeps the common
- * access pattern (a handful of hot circuits re-run thousands of times)
- * fully cached without ever growing unboundedly across a search.
+ * circuit serialization (collision-free), bounded by a wholesale clear
+ * at capacity.
+ *
+ * No library path uses it any more. A hit serializes the whole circuit
+ * for its key, hashes the string and takes a process-wide mutex, which
+ * costs about twice a fresh compile at the sizes the benchmarks
+ * search (4-vCPU AVX-512 host, GCC 12 -O2, best of 7 x 2000 calls):
+ * 9-14 us against 4-6 us on a 79-op 4-qubit mnist-4 winner, 22-31 us
+ * against 10-14 us on a 168-op 6-qubit mnist-10 winner. It stays only
+ * because the end-to-end benchmark (pipebench/) clears it every
+ * iteration; removing it waits on a change to that benchmark.
  */
 class FusionCache
 {
@@ -129,14 +139,5 @@ class FusionCache
     std::unordered_map<std::string, std::shared_ptr<const FusedProgram>>
         programs_;
 };
-
-/**
- * Run `circuit` on `psi` through the fusion cache. Drop-in replacement
- * for StateVector::run on hot paths that re-execute the same circuit
- * many times (training, RepCap, CNR ideal outputs).
- */
-void fused_run(StateVector &psi, const circ::Circuit &circuit,
-               const std::vector<double> &params = {},
-               const std::vector<double> &x = {});
 
 } // namespace elv::sim

@@ -9,25 +9,46 @@ namespace elv::sim {
 
 namespace {
 
-/** Apply U_op^dagger for a fixed-angle op. */
-void
-apply_op_dagger(StateVector &psi, const circ::Op &op,
-                const std::array<double, 3> &angles)
+/**
+ * U_op^dagger for a fixed-angle op, built once and applied to both
+ * adjoint sweep states.
+ */
+class DaggerGate
 {
-    if (op.num_qubits() == 1)
-        psi.apply_1q(dagger(gate_matrix_1q(op.kind, angles)), op.qubits[0]);
-    else
-        psi.apply_2q(dagger(gate_matrix_2q(op.kind, angles)), op.qubits[0],
-                     op.qubits[1]);
-}
+  public:
+    DaggerGate(const circ::Op &op, const std::array<double, 3> &angles)
+        : op_(op)
+    {
+        if (op.num_qubits() == 1)
+            m2_ = dagger(gate_matrix_1q(op.kind, angles));
+        else
+            m4_ = dagger(gate_matrix_2q(op.kind, angles));
+    }
 
-/** 2 * Re(<lhs| M |rhs>) where M is the derivative matrix of the op. */
+    void apply(StateVector &psi) const
+    {
+        if (op_.num_qubits() == 1)
+            psi.apply_1q(m2_, op_.qubits[0]);
+        else
+            psi.apply_2q(m4_, op_.qubits[0], op_.qubits[1]);
+    }
+
+  private:
+    const circ::Op &op_;
+    Mat2 m2_{};
+    Mat4 m4_{};
+};
+
+/**
+ * 2 * Re(<lhs| M |rhs>) where M is the derivative matrix of the op.
+ * `mu` is scratch of the same size, overwritten with M |rhs>.
+ */
 double
 deriv_overlap(const StateVector &lhs, const StateVector &rhs,
-              const circ::Op &op, const std::array<double, 3> &angles,
-              int slot)
+              StateVector &mu, const circ::Op &op,
+              const std::array<double, 3> &angles, int slot)
 {
-    StateVector mu = rhs;
+    mu = rhs;
     if (op.num_qubits() == 1)
         mu.apply_1q(gate_matrix_1q_deriv(op.kind, angles, slot),
                     op.qubits[0]);
@@ -40,6 +61,30 @@ deriv_overlap(const StateVector &lhs, const StateVector &rhs,
     return 2.0 * acc.real();
 }
 
+void
+require_compiled_from(const FusedProgram &program,
+                      const circ::Circuit &circuit)
+{
+    ELV_REQUIRE(program.num_qubits() == circuit.num_qubits() &&
+                    program.source_ops() == circuit.ops().size(),
+                "fused program was not compiled from this circuit");
+}
+
+/** Expectations of `obs` after running `program` into `psi`. */
+std::vector<double>
+run_expectations(const FusedProgram &program, StateVector &psi,
+                 const std::vector<double> &params,
+                 const std::vector<double> &x,
+                 const std::vector<DiagonalObservable> &obs)
+{
+    program.run(psi, params, x);
+    std::vector<double> values;
+    values.reserve(obs.size());
+    for (const auto &o : obs)
+        values.push_back(o.expectation(psi));
+    return values;
+}
+
 } // namespace
 
 std::vector<double>
@@ -48,26 +93,18 @@ expectations(const circ::Circuit &circuit, const std::vector<double> &params,
              const std::vector<DiagonalObservable> &obs)
 {
     StateVector psi(circuit.num_qubits());
-    // Through the fusion cache: parameter-shift gradients evaluate the
-    // same circuit 2P+1 times per call, so the compile cost amortizes
-    // immediately.
-    fused_run(psi, circuit, params, x);
-    std::vector<double> values;
-    values.reserve(obs.size());
-    // All observables share the measured-qubit distribution; evaluate it
-    // once when they use identical qubit sets.
-    for (const auto &o : obs)
-        values.push_back(o.expectation(psi));
-    return values;
+    return run_expectations(FusedProgram::compile(circuit), psi, params, x,
+                            obs);
 }
 
 GradientResult
-adjoint_gradient(const circ::Circuit &circuit,
+adjoint_gradient(const circ::Circuit &circuit, const FusedProgram &program,
                  const std::vector<double> &params,
                  const std::vector<double> &x,
                  const std::vector<DiagonalObservable> &obs,
                  bool with_embedding_grads)
 {
+    require_compiled_from(program, circuit);
     const auto &ops = circuit.ops();
     for (std::size_t i = 0; i < ops.size(); ++i) {
         if (ops[i].kind == circ::GateKind::AmpEmbed)
@@ -106,13 +143,18 @@ adjoint_gradient(const circ::Circuit &circuit,
     StateVector forward(circuit.num_qubits());
     // Fused forward pass; the reverse sweep stays op-by-op because it
     // needs per-op derivative insertions.
-    fused_run(forward, circuit, params, x);
+    program.run(forward, params, x);
 
+    // Sweep states and the derivative scratch are allocated once and
+    // reassigned in place (equal sizes never reallocate).
+    StateVector psi(circuit.num_qubits());
+    StateVector lambda(circuit.num_qubits());
+    StateVector mu(circuit.num_qubits());
     for (std::size_t oi = 0; oi < obs.size(); ++oi) {
         result.values[oi] = obs[oi].expectation(forward);
 
-        StateVector psi = forward;
-        StateVector lambda = forward;
+        psi = forward;
+        lambda = forward;
         obs[oi].apply_to(lambda);
 
         for (std::size_t k = ops.size(); k-- > 0;) {
@@ -120,44 +162,61 @@ adjoint_gradient(const circ::Circuit &circuit,
             if (op.kind == circ::GateKind::AmpEmbed)
                 break; // state preparation: nothing differentiable before
             const auto angles = circ::op_angles(op, params, x);
-            apply_op_dagger(psi, op, angles);
+            const DaggerGate undo(op, angles);
+            undo.apply(psi);
             if (op.role == circ::ParamRole::Variational) {
                 for (int slot = 0; slot < op.num_params(); ++slot) {
                     result.jacobian[oi][static_cast<std::size_t>(
                         op.param_index + slot)] =
-                        deriv_overlap(lambda, psi, op, angles, slot);
+                        deriv_overlap(lambda, psi, mu, op, angles, slot);
                 }
             } else if (with_embedding_grads &&
                        op.role == circ::ParamRole::Embedding) {
                 result.embedding_jacobian[oi][static_cast<std::size_t>(
                     embed_position[k])] =
-                    deriv_overlap(lambda, psi, op, angles, 0);
+                    deriv_overlap(lambda, psi, mu, op, angles, 0);
             }
-            apply_op_dagger(lambda, op, angles);
+            undo.apply(lambda);
         }
     }
     return result;
 }
 
 GradientResult
+adjoint_gradient(const circ::Circuit &circuit,
+                 const std::vector<double> &params,
+                 const std::vector<double> &x,
+                 const std::vector<DiagonalObservable> &obs,
+                 bool with_embedding_grads)
+{
+    return adjoint_gradient(circuit, FusedProgram::compile(circuit), params,
+                            x, obs, with_embedding_grads);
+}
+
+GradientResult
 parameter_shift_gradient(const circ::Circuit &circuit,
+                         const FusedProgram &program,
                          const std::vector<double> &params,
                          const std::vector<double> &x,
                          const std::vector<DiagonalObservable> &obs)
 {
+    require_compiled_from(program, circuit);
+    StateVector psi(circuit.num_qubits());
     GradientResult result;
-    result.values = expectations(circuit, params, x, obs);
+    result.values = run_expectations(program, psi, params, x, obs);
     result.circuit_executions = 1;
     result.jacobian.assign(
         obs.size(),
         std::vector<double>(static_cast<std::size_t>(circuit.num_params()),
                             0.0));
 
+    std::vector<double> shifted = params;
     auto eval_shifted = [&](std::size_t pi, double shift) {
-        std::vector<double> shifted = params;
-        shifted[pi] += shift;
+        shifted[pi] = params[pi] + shift;
         ++result.circuit_executions;
-        return expectations(circuit, shifted, x, obs);
+        auto values = run_expectations(program, psi, shifted, x, obs);
+        shifted[pi] = params[pi];
+        return values;
     };
 
     for (const circ::Op &op : circuit.ops()) {
@@ -192,6 +251,16 @@ parameter_shift_gradient(const circ::Circuit &circuit,
         }
     }
     return result;
+}
+
+GradientResult
+parameter_shift_gradient(const circ::Circuit &circuit,
+                         const std::vector<double> &params,
+                         const std::vector<double> &x,
+                         const std::vector<DiagonalObservable> &obs)
+{
+    return parameter_shift_gradient(circuit, FusedProgram::compile(circuit),
+                                    params, x, obs);
 }
 
 } // namespace elv::sim

@@ -22,6 +22,8 @@
 
 namespace elv::sim {
 
+class FusedProgram;
+
 /** Expectations and their Jacobian for a set of observables. */
 struct GradientResult
 {
@@ -53,7 +55,20 @@ std::vector<double> expectations(const circ::Circuit &circuit,
  * `with_embedding_grads`, also fills GradientResult::embedding_jacobian
  * (derivatives with respect to each embedding gate's resolved angle;
  * product embeddings are rejected in that mode).
+ *
+ * `program` must be FusedProgram::compile(circuit): it runs the
+ * forward pass, and the reverse sweep walks the circuit's ops. Callers
+ * that differentiate one circuit over many samples (the trainer)
+ * compile once and share the program read-only across threads.
  */
+GradientResult adjoint_gradient(const circ::Circuit &circuit,
+                                const FusedProgram &program,
+                                const std::vector<double> &params,
+                                const std::vector<double> &x,
+                                const std::vector<DiagonalObservable> &obs,
+                                bool with_embedding_grads = false);
+
+/** As above, compiling `circuit` for this one call. */
 GradientResult adjoint_gradient(const circ::Circuit &circuit,
                                 const std::vector<double> &params,
                                 const std::vector<double> &x,
@@ -62,8 +77,15 @@ GradientResult adjoint_gradient(const circ::Circuit &circuit,
 
 /**
  * Parameter-shift differentiation: exact two-term rule for single-qubit
- * rotations and U3 slots, four-term rule for CRY.
+ * rotations and U3 slots, four-term rule for CRY. All 2P+1 runs replay
+ * `program`, which must be FusedProgram::compile(circuit).
  */
+GradientResult parameter_shift_gradient(
+    const circ::Circuit &circuit, const FusedProgram &program,
+    const std::vector<double> &params, const std::vector<double> &x,
+    const std::vector<DiagonalObservable> &obs);
+
+/** As above, compiling `circuit` once for the whole call. */
 GradientResult parameter_shift_gradient(
     const circ::Circuit &circuit, const std::vector<double> &params,
     const std::vector<double> &x,

@@ -605,13 +605,17 @@ TEST(ResilientExecutor, SpentBudgetSkipsRetries)
 
 TEST(ResilientExecutor, UnsupportedPrimaryIsSkippedNotDegraded)
 {
-    // A variational circuit cannot run on the stabilizer rung; with
-    // Stabilizer as primary the noiseless rung services it, but that is
-    // a capability skip, not a degradation event.
+    // A Clifford replica that measures nothing leaves the stabilizer
+    // rung no outcome to sample; with Stabilizer as primary the
+    // noiseless rung services it, but that is a capability skip, not a
+    // degradation event. (The input must still be a Clifford replica:
+    // the executor preflight rejects anything else, fatally in debug.)
     const dev::Device device = dev::make_device("ibm_lagos");
     ResilientExecutor executor(device, BackendKind::Stabilizer, 512, 1.0);
     Rng rng(11);
-    const circ::Circuit c = variational_circuit();
+    circ::Circuit c = clifford_circuit();
+    c.set_measured({});
+    ASSERT_FALSE(StabilizerExecutor(device, 512).supports(c));
     ASSERT_TRUE(executor.supports(c));
     executor.replica_fidelity(c, rng);
     EXPECT_FALSE(executor.last_report()->degraded);

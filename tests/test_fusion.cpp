@@ -7,8 +7,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -404,6 +408,121 @@ TEST(BatchedTraining, BitIdenticalForEveryThreadCount)
                     << "threads=" << threads << " epoch " << e;
             EXPECT_EQ(ref.circuit_executions, got.circuit_executions)
                 << "threads=" << threads;
+        }
+    }
+}
+
+/**
+ * Four qubits mixing fusable fixed gates with every gate kind the
+ * trainer differentiates (RX/RY/RZ/U3/CRY). Qubit 3 never couples to
+ * the measured qubit, so prune_dead_structure elides its two ops and
+ * one parameter slot.
+ */
+circ::Circuit
+pinned_training_circuit()
+{
+    circ::Circuit c(4);
+    for (int q = 0; q < 3; ++q)
+        c.add_gate(circ::GateKind::H, {q});
+    c.add_embedding(circ::GateKind::RY, {0}, 0);
+    c.add_embedding(circ::GateKind::RY, {1}, 1);
+    c.add_embedding(circ::GateKind::RZ, {2}, 0);
+    c.add_variational(circ::GateKind::RX, {0});
+    c.add_variational(circ::GateKind::U3, {1});
+    c.add_variational(circ::GateKind::RY, {2});
+    c.add_gate(circ::GateKind::CX, {0, 1});
+    c.add_gate(circ::GateKind::S, {1});
+    c.add_gate(circ::GateKind::CZ, {1, 2});
+    c.add_variational(circ::GateKind::CRY, {0, 1});
+    c.add_variational(circ::GateKind::RZ, {0});
+    c.add_variational(circ::GateKind::RY, {1});
+    c.add_variational(circ::GateKind::RX, {3});
+    c.add_gate(circ::GateKind::H, {3});
+    c.set_measured({0});
+    return c;
+}
+
+TEST(BatchedTraining, PinnedToParentCommit)
+{
+    // Bit patterns recorded from the trainer that looked its fused
+    // program up in the process-wide FusionCache on every sample and
+    // copied a state per parameter slot in the adjoint sweep. Compiling
+    // once per call and reusing sweep scratch must not move a single
+    // bit, for either backend, at any thread count, pruned or not.
+    struct Pinned
+    {
+        qml::GradientBackend backend;
+        bool prune;
+        std::uint64_t executions;
+        std::array<std::uint64_t, 9> params;
+        std::array<std::uint64_t, 3> loss;
+    };
+    const Pinned pinned[] = {
+        {qml::GradientBackend::Adjoint, false, 180,
+         {0xbff1262d10e8163eULL, 0x3ff5023105080debULL,
+          0x3fc683335dcc6630ULL, 0x3ff6444331573ef2ULL,
+          0xc00452c74a0f81c1ULL, 0x3ffa79f9280ccb3dULL,
+          0xc0065038c32b4a32ULL, 0xc000bada71d5de5eULL,
+          0xbfb8d490ee9ef81eULL},
+         {0x3fedeaa4b4f10cc0ULL, 0x3fe6d6a1f71923d7ULL,
+          0x3fe2b77fe4a26b2bULL}},
+        {qml::GradientBackend::Adjoint, true, 180,
+         {0xbff1262d10e8163fULL, 0x3ff5023105216dd8ULL,
+          0x3fc6833362b7771dULL, 0x3ff644433171194bULL,
+          0xc00452c74a10eaaeULL, 0x3ffa79f928300e06ULL,
+          0xc0065038c32e2f30ULL, 0xc000bada71c8cb10ULL,
+          0xbfb8d490ee40da00ULL},
+         {0x3fedeaa4b4f10cc2ULL, 0x3fe6d6a1f71923d9ULL,
+          0x3fe2b77fe4a26b2cULL}},
+        {qml::GradientBackend::ParameterShift, false, 3780,
+         {0xbff1262d10e8163fULL, 0x3ff5023104fb4265ULL,
+          0x3fc6833366063ff7ULL, 0x3ff6444330bf52f6ULL,
+          0xc00452c74a72cee9ULL, 0x3ffa79f9282006ceULL,
+          0xc0065038c30d6033ULL, 0xc000bada71b64db0ULL,
+          0xbfb8d490f045a791ULL},
+         {0x3fedeaa4b4f10cc1ULL, 0x3fe6d6a1f71923d7ULL,
+          0x3fe2b77fe4a26b2bULL}},
+        {qml::GradientBackend::ParameterShift, true, 3420,
+         {0xbff1262d10e8163fULL, 0x3ff50231054d1d55ULL,
+          0x3fc683335f390218ULL, 0x3ff6444331b95ea8ULL,
+          0xc00452c74a1d0429ULL, 0x3ffa79f92821fd4aULL,
+          0xc0065038c315baa4ULL, 0xc000bada7174780cULL,
+          0xbfb8d490ee40da00ULL},
+         {0x3fedeaa4b4f10cc1ULL, 0x3fe6d6a1f71923d5ULL,
+          0x3fe2b77fe4a26b2cULL}},
+    };
+
+    const qml::Benchmark bench = qml::make_benchmark("moons", 17, 0.1);
+    const circ::Circuit c = pinned_training_circuit();
+    for (const Pinned &pin : pinned) {
+        for (const int threads : {1, 4}) {
+            qml::TrainConfig tc;
+            tc.epochs = 3;
+            tc.batch_size = 7; // deliberately not dividing the set
+            tc.learning_rate = 0.05;
+            tc.seed = 5;
+            tc.backend = pin.backend;
+            tc.threads = threads;
+            tc.prune_dead_structure = pin.prune;
+            const qml::TrainResult got =
+                qml::train_circuit(c, bench.train, tc);
+            const std::string where =
+                std::string(pin.backend == qml::GradientBackend::Adjoint
+                                ? "adjoint"
+                                : "parameter-shift") +
+                (pin.prune ? " pruned" : "") +
+                " threads=" + std::to_string(threads);
+            EXPECT_EQ(got.circuit_executions, pin.executions) << where;
+            ASSERT_EQ(got.params.size(), pin.params.size()) << where;
+            for (std::size_t i = 0; i < pin.params.size(); ++i)
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(got.params[i]),
+                          pin.params[i])
+                    << where << " param " << i;
+            ASSERT_EQ(got.loss_history.size(), pin.loss.size()) << where;
+            for (std::size_t e = 0; e < pin.loss.size(); ++e)
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(got.loss_history[e]),
+                          pin.loss[e])
+                    << where << " epoch " << e;
         }
     }
 }

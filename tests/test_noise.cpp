@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "circuit/builders.hpp"
 #include "circuit/clifford_replica.hpp"
@@ -18,6 +20,7 @@
 #include "device/device.hpp"
 #include "noise/channels.hpp"
 #include "noise/noise_model.hpp"
+#include "obs/metrics.hpp"
 #include "sim/density_matrix.hpp"
 #include "stabilizer/tableau.hpp"
 
@@ -27,6 +30,20 @@ using namespace elv;
 using namespace elv::circ;
 using namespace elv::noise;
 using elv::dev::make_device;
+
+/** Growth of counter `name` between two registry snapshots. */
+std::uint64_t
+counter_delta(const obs::MetricsSnapshot &before,
+              const obs::MetricsSnapshot &after, const std::string &name)
+{
+    auto value = [&name](const obs::MetricsSnapshot &snap) {
+        for (const auto &c : snap.counters)
+            if (c.name == name)
+                return c.value;
+        return std::uint64_t{0};
+    };
+    return value(after) - value(before);
+}
 
 /** Check sum_k K^dag K = I for a 1-qubit Kraus set. */
 void
@@ -137,6 +154,70 @@ TEST(NoisyDensity, DistributionIsNormalized)
         total += p;
     }
     EXPECT_NEAR(total, 1.0, 1e-9);
+}
+
+TEST(NoisyDensity, ProgramCacheCountsHitsAndMisses)
+{
+    obs::Registry &registry = obs::Registry::global();
+    registry.set_enabled(true);
+    const obs::MetricsSnapshot before = registry.snapshot();
+
+    const dev::Device dev = make_device("ibmq_jakarta");
+    NoisyDensitySimulator sim(dev);
+    Circuit bell(dev.num_qubits());
+    bell.add_gate(GateKind::H, {0});
+    bell.add_gate(GateKind::CX, {0, 1});
+    bell.set_measured({0, 1});
+    Circuit other = bell;
+    other.add_gate(GateKind::X, {1});
+    (void)sim.run_distribution(bell);
+    (void)sim.run_distribution(bell);
+    (void)sim.run_distribution(other);
+
+    const obs::MetricsSnapshot after = registry.snapshot();
+    registry.set_enabled(false);
+    auto delta = [&](const std::string &name) {
+        return counter_delta(before, after, name);
+    };
+#ifdef ELV_OBS_DISABLED
+    // The metric macros compile to no-ops: nothing may move.
+    EXPECT_EQ(delta("cache.noisy_program.hits"), 0u);
+    EXPECT_EQ(delta("cache.noisy_program.misses"), 0u);
+#else
+    EXPECT_EQ(delta("cache.noisy_program.hits"), 1u);
+    EXPECT_EQ(delta("cache.noisy_program.misses"), 2u);
+#endif
+    EXPECT_EQ(delta("cache.noisy_program.evictions"), 0u);
+}
+
+TEST(NoisyDensity, ProgramCacheCountsEntriesDroppedAtCapacity)
+{
+    obs::Registry &registry = obs::Registry::global();
+    registry.set_enabled(true);
+    const obs::MetricsSnapshot before = registry.snapshot();
+
+    // 129 distinct circuits: the 129th miss finds 128 entries cached
+    // and clears them all.
+    const dev::Device dev = make_device("ibmq_jakarta");
+    NoisyDensitySimulator sim(dev);
+    Circuit c(dev.num_qubits());
+    c.set_measured({0});
+    for (int n = 0; n < 129; ++n) {
+        c.add_gate(GateKind::X, {0});
+        (void)sim.run_distribution(c);
+    }
+
+    const obs::MetricsSnapshot after = registry.snapshot();
+    registry.set_enabled(false);
+#ifdef ELV_OBS_DISABLED
+    EXPECT_EQ(counter_delta(before, after, "cache.noisy_program.evictions"),
+              0u);
+#else
+    EXPECT_EQ(counter_delta(before, after, "cache.noisy_program.misses"),
+              129u);
+    EXPECT_EQ(counter_delta(before, after, "cache.noisy_program.evictions"),
+              128u);
+#endif
 }
 
 TEST(NoisyDensity, FidelityDecreasesWithDepth)

@@ -319,11 +319,14 @@ TEST(Server, RejectsInvalidSpecs)
 TEST(Server, OverloadRejectsExplicitlyWithRetryAfter)
 {
     Server server(small_config(fresh_dir("overload")));
+    // Hold dispatch for the whole test: a worker that drained a job
+    // between the flood and the urgent submit below would free a slot
+    // and leave nothing to shed.
+    server.hold_dispatch(true);
 
-    // Flood a capacity-2 queue. The single worker drains one job at a
-    // time, so at least the tail of the flood must see "queue full" —
-    // an explicit rejection with a retry hint, never a hang or a
-    // silent drop.
+    // Flood a capacity-2 queue: the tail of the flood must see "queue
+    // full" — an explicit rejection with a retry hint, never a hang or
+    // a silent drop.
     std::vector<std::string> accepted;
     SubmitOutcome rejected;
     for (int i = 0; i < 12 && rejected.error.empty(); ++i) {
