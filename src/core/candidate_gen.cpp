@@ -249,6 +249,7 @@ generate_candidate(const dev::Device &device, const CandidateConfig &config,
     // property of the sampled circuit.
     lint::LintOptions lint_options;
     lint_options.device = &device;
+    lint_options.input_width = config.num_features;
     lint::preflight(c, lint::Boundary::CandidateGen, lint_options);
     return c;
 }
@@ -299,7 +300,9 @@ generate_device_unaware(const CandidateConfig &config, elv::Rng &rng)
             features[static_cast<std::size_t>(e % config.num_features)]);
     // Device-unaware circuits assume full connectivity: structural
     // lint only (they are SABRE-routed before touching a device).
-    lint::preflight(c, lint::Boundary::CandidateGen);
+    lint::LintOptions lint_options;
+    lint_options.input_width = config.num_features;
+    lint::preflight(c, lint::Boundary::CandidateGen, lint_options);
     return c;
 }
 

@@ -68,7 +68,7 @@ DensityExecutor::replica_fidelity(const circ::Circuit &replica,
                                   elv::Rng &)
 {
     executor_preflight(replica, &sim_.device(), true);
-    const double f = sim_.fidelity(replica);
+    const double f = sim_.one_shot_fidelity(replica);
     ++executions_;
     return f;
 }

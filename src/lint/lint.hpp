@@ -145,6 +145,9 @@ struct LintOptions
     /** Data embeddings must precede all variational gates (fixed-
      *  embedding templates; searched candidates interleave by design). */
     bool require_embedding_prefix = false;
+    /** Features per input sample (0 = unknown); enables the feature-
+     *  index bound in param-binding. */
+    int input_width = 0;
     /** Rule ids to skip. */
     std::vector<std::string> disabled_rules;
 

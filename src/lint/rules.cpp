@@ -103,13 +103,15 @@ rule_qubit_bounds(const CircuitView &c, const LintOptions &, Report &out)
 
 /**
  * param-binding: variational gates own valid, exactly-once parameter
- * slots; embedding gates carry a feature index and no trainable slot;
+ * slots; embedding gates carry a feature index and no trainable slot,
+ * and with a known input_width every feature index lies below it;
  * fixed-role gates carry neither; no parametric gate kind is left
  * without a binding (a dangling symbol resolves to angle 0 at run
  * time, silently).
  */
 void
-rule_param_binding(const CircuitView &c, const LintOptions &, Report &out)
+rule_param_binding(const CircuitView &c, const LintOptions &options,
+                   Report &out)
 {
     std::vector<int> bound(
         static_cast<std::size_t>(std::max(0, c.num_params)), 0);
@@ -154,6 +156,16 @@ rule_param_binding(const CircuitView &c, const LintOptions &, Report &out)
             if (op.data_index < 0)
                 out.add(Severity::Error, "param-binding", at,
                         "embedding gate has no feature index");
+            if (options.input_width > 0)
+                for (int feature : {op.data_index, op.data_index2})
+                    if (feature >= options.input_width) {
+                        std::ostringstream oss;
+                        oss << "feature index " << feature
+                            << " outside the input width "
+                            << options.input_width;
+                        out.add(Severity::Error, "param-binding", at,
+                                oss.str());
+                    }
             if (op.param_index != -1)
                 out.add(Severity::Error, "param-binding", at,
                         "embedding gate retains trainable parameter "
@@ -501,7 +513,8 @@ register_builtin_rules(Linter &linter)
                          rule_qubit_bounds);
     linter.register_rule({"param-binding", Severity::Error,
                           "every parameter slot bound exactly once, no "
-                          "dangling symbols"},
+                          "dangling symbols, feature indices within the "
+                          "input width"},
                          rule_param_binding);
     linter.register_rule({"embedding-order", Severity::Error,
                           "amplitude embedding first and alone; optional "

@@ -79,7 +79,7 @@ mitigate_readout(const std::vector<double> &probs,
 
 NoisyDensitySimulator::NoisyDensitySimulator(const dev::Device &device,
                                              double noise_scale)
-    : device_(device), scale_(noise_scale)
+    : device_(device), scale_(noise_scale), table_(device, noise_scale)
 {
     ELV_REQUIRE(noise_scale >= 0.0, "negative noise scale");
     // Reject malformed calibration up front: a silent size mismatch
@@ -105,7 +105,8 @@ NoisyDensitySimulator::program_for(const circ::Circuit &circuit,
         cache_.clear();
     }
     auto program = std::make_shared<const NoisyProgram>(
-        NoisyProgram::compile(local, kept, device_, scale_));
+        NoisyProgram::compile(local, kept, table_,
+                              NoisyProgram::Replays::Many));
     cache_.emplace(key, program);
     return program;
 }
@@ -119,12 +120,27 @@ NoisyDensitySimulator::run_distribution(const circ::Circuit &circuit,
                 "circuit larger than device");
     std::vector<int> kept;
     const circ::Circuit local = circuit.compacted(kept);
+    return noisy_distribution(circuit, local, kept,
+                              NoisyProgram::Replays::Many, params, x);
+}
 
+std::vector<double>
+NoisyDensitySimulator::noisy_distribution(const circ::Circuit &circuit,
+                                          const circ::Circuit &local,
+                                          const std::vector<int> &kept,
+                                          NoisyProgram::Replays replays,
+                                          const std::vector<double> &params,
+                                          const std::vector<double> &x)
+    const
+{
     sim::DensityMatrix rho(local.num_qubits());
-    if (fused_)
+    if (!fused_)
+        apply_unfused(rho, local, kept, params, x);
+    else if (replays == NoisyProgram::Replays::Many)
         program_for(circuit, local, kept)->run(rho, params, x);
     else
-        apply_unfused(rho, local, kept, params, x);
+        NoisyProgram::compile(local, kept, table_, replays)
+            .run(rho, params, x);
 
     auto probs = rho.probabilities(local.measured());
     if (scale_ > 0.0) {
@@ -202,17 +218,38 @@ NoisyDensitySimulator::fidelity(const circ::Circuit &circuit,
                                 const std::vector<double> &params,
                                 const std::vector<double> &x) const
 {
+    return fidelity_of(circuit, NoisyProgram::Replays::Many, params, x);
+}
+
+double
+NoisyDensitySimulator::one_shot_fidelity(const circ::Circuit &circuit,
+                                         const std::vector<double> &params,
+                                         const std::vector<double> &x) const
+{
+    return fidelity_of(circuit, NoisyProgram::Replays::Once, params, x);
+}
+
+double
+NoisyDensitySimulator::fidelity_of(const circ::Circuit &circuit,
+                                   NoisyProgram::Replays replays,
+                                   const std::vector<double> &params,
+                                   const std::vector<double> &x) const
+{
+    ELV_REQUIRE(circuit.num_qubits() <= device_.num_qubits(),
+                "circuit larger than device");
     std::vector<int> kept;
     const circ::Circuit local = circuit.compacted(kept);
     sim::StateVector psi(local.num_qubits());
     if (fused_) {
-        // CNR replicas are one-shot circuits: compile per call.
+        // The state-vector side compiles per call whatever `replays`:
+        // its compile is cheap next to the noisy program's.
         sim::FusedProgram::compile(local).run(psi, params, x);
     } else {
         psi.run(local, params, x);
     }
     const auto ideal = psi.probabilities(local.measured());
-    const auto noisy = run_distribution(circuit, params, x);
+    const auto noisy =
+        noisy_distribution(circuit, local, kept, replays, params, x);
     return 1.0 - elv::total_variation_distance(ideal, noisy);
 }
 

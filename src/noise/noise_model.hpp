@@ -77,19 +77,33 @@ class NoisyDensitySimulator
 
     /**
      * Fidelity proxy used throughout the paper: 1 - TVD between the
-     * noisy and the noiseless outcome distributions of `circuit`.
+     * noisy and the noiseless outcome distributions of `circuit`. The
+     * noisy side runs run_distribution's cached, fully fused program,
+     * which pays off when one circuit is evaluated at several bindings.
      */
     double fidelity(const circ::Circuit &circuit,
                     const std::vector<double> &params = {},
                     const std::vector<double> &x = {}) const;
 
+    /**
+     * fidelity() for a circuit that runs once, such as a CNR Clifford
+     * replica: the noisy program is compiled per call with the one-shot
+     * cost model (NoisyProgram::Replays::Once) and never enters the
+     * program cache. Agrees with fidelity() to rounding (the merge
+     * order differs at n <= 5).
+     */
+    double one_shot_fidelity(const circ::Circuit &circuit,
+                             const std::vector<double> &params = {},
+                             const std::vector<double> &x = {}) const;
+
     const dev::Device &device() const { return device_; }
 
     /**
      * Route execution through compiled NoisyPrograms — fused
-     * gate+channel superoperators, cached per circuit — instead of the
-     * per-gate channel loop (default on). The unfused path is kept for
-     * the equivalence tests and the bench comparison.
+     * gate+channel superoperators read from this simulator's
+     * NoiseTable — instead of the per-gate channel loop (default on).
+     * The unfused path is kept for the equivalence tests and the bench
+     * comparison.
      */
     void use_fused_execution(bool on) { fused_ = on; }
 
@@ -106,9 +120,27 @@ class NoisyDensitySimulator
     program_for(const circ::Circuit &circuit, const circ::Circuit &local,
                 const std::vector<int> &kept) const;
 
+    /** Measured-qubit distribution of the compacted `local`, with
+     *  readout error: the program cache for Replays::Many, a one-shot
+     *  compile for Replays::Once, the per-gate loop when unfused. */
+    std::vector<double> noisy_distribution(const circ::Circuit &circuit,
+                                           const circ::Circuit &local,
+                                           const std::vector<int> &kept,
+                                           NoisyProgram::Replays replays,
+                                           const std::vector<double> &params,
+                                           const std::vector<double> &x)
+        const;
+
+    double fidelity_of(const circ::Circuit &circuit,
+                       NoisyProgram::Replays replays,
+                       const std::vector<double> &params,
+                       const std::vector<double> &x) const;
+
     const dev::Device &device_;
     double scale_;
     bool fused_ = true;
+    /** noise∘gate superoperators every compile reads from. */
+    NoiseTable table_;
     /**
      * Bounded program cache keyed by the exact serialization of the
      * *original* (pre-compaction) circuit — physical qubit labels

@@ -103,16 +103,151 @@ swap_superop_pair(const Mat16 &s)
     return out;
 }
 
+namespace {
+
+double
+clamp01(double v)
+{
+    return std::clamp(v, 0.0, 1.0);
+}
+
+/** Table key: a tag (gate kind, or a noise tag) and up to two
+ *  physical qubits. */
+std::uint64_t
+table_key(int tag, int a, int b = 0)
+{
+    return (static_cast<std::uint64_t>(tag) << 48) |
+           (static_cast<std::uint64_t>(a) << 24) |
+           static_cast<std::uint64_t>(b);
+}
+
+/** Tags past every GateKind for the bare-noise entries. */
+constexpr int kNoiseTag = 256;
+constexpr int kNoiseCryTag = 257;
+
+} // namespace
+
+NoiseTable::NoiseTable(const dev::Device &device, double scale)
+    : device_(device), scale_(scale)
+{
+}
+
+template <class M, class Build>
+const M &
+NoiseTable::lookup(std::unordered_map<std::uint64_t, M> &entries,
+                   std::uint64_t key, Build build) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = entries.find(key);
+    if (it != entries.end()) {
+        ELV_METRIC_COUNT("cache.noise_table.hits");
+        return it->second;
+    }
+    ELV_METRIC_COUNT("cache.noise_table.misses");
+    return entries.emplace(key, build()).first->second;
+}
+
+Mat4
+NoiseTable::thermal(int pq, double duration_ns) const
+{
+    return kraus_superop_1q(thermal_relaxation_kraus(
+        device_.t1_us[static_cast<std::size_t>(pq)] /
+            std::max(scale_, 1e-9),
+        device_.t2_us[static_cast<std::size_t>(pq)] /
+            std::max(scale_, 1e-9),
+        duration_ns));
+}
+
+Mat4
+NoiseTable::build_noise_1q(int pq) const
+{
+    const double err =
+        clamp01(scale_ * device_.error_1q[static_cast<std::size_t>(pq)]);
+    return sim::matmul(thermal(pq, device_.duration_1q_ns),
+                       kraus_superop_1q(depolarizing_1q_kraus(err)));
+}
+
+Mat16
+NoiseTable::build_noise_2q(int pa, int pb, bool cry) const
+{
+    if (!device_.topology.has_edge(pa, pb))
+        elv::fatal("2-qubit gate on uncoupled physical qubits " +
+                   std::to_string(pa) + "," + std::to_string(pb) +
+                   "; route the circuit first");
+    const double err = clamp01(scale_ * device_.edge_error(pa, pb));
+    Mat16 noise = kraus_superop_2q(depolarizing_2q_kraus(err));
+    // CRY lowers to two CX on hardware: pay the channel twice
+    // (matching the unfused schedule).
+    if (cry)
+        noise = sim::matmul(noise, noise);
+    noise = sim::matmul(
+        expand_superop_1q(thermal(pa, device_.duration_2q_ns), 0), noise);
+    return sim::matmul(
+        expand_superop_1q(thermal(pb, device_.duration_2q_ns), 1), noise);
+}
+
+const Mat4 &
+NoiseTable::gate_1q(circ::GateKind kind, int pq) const
+{
+    return lookup(s4_, table_key(static_cast<int>(kind), pq), [&] {
+        // Fixed gates resolve every angle to 0.
+        const Mat4 u =
+            unitary_superop_1q(sim::gate_matrix_1q(kind, {0.0, 0.0, 0.0}));
+        return noisy() ? sim::matmul(build_noise_1q(pq), u) : u;
+    });
+}
+
+const Mat16 &
+NoiseTable::gate_2q(circ::GateKind kind, int pa, int pb) const
+{
+    return lookup(s16_, table_key(static_cast<int>(kind), pa, pb), [&] {
+        const Mat16 u =
+            unitary_superop_2q(sim::gate_matrix_2q(kind, {0.0, 0.0, 0.0}));
+        return noisy() ? sim::matmul(build_noise_2q(
+                                         pa, pb, kind == circ::GateKind::CRY),
+                                     u)
+                       : u;
+    });
+}
+
+const Mat4 &
+NoiseTable::noise_1q(int pq) const
+{
+    ELV_REQUIRE(noisy(), "noiseless table has no noise entries");
+    return lookup(s4_, table_key(kNoiseTag, pq),
+                  [&] { return build_noise_1q(pq); });
+}
+
+const Mat16 &
+NoiseTable::noise_2q(int pa, int pb, bool cry) const
+{
+    ELV_REQUIRE(noisy(), "noiseless table has no noise entries");
+    return lookup(s16_, table_key(cry ? kNoiseCryTag : kNoiseTag, pa, pb),
+                  [&] { return build_noise_2q(pa, pb, cry); });
+}
+
 NoisyProgram
 NoisyProgram::compile(const circ::Circuit &local,
-                      const std::vector<int> &kept,
-                      const dev::Device &device, double scale)
+                      const std::vector<int> &kept, const NoiseTable &table,
+                      Replays replays)
 {
     ELV_REQUIRE(kept.size() ==
                     static_cast<std::size_t>(local.num_qubits()),
                 "kept/local qubit count mismatch");
     NoisyProgram prog;
     prog.num_qubits_ = local.num_qubits();
+
+    // Cost model (complex multiply-adds on an n-qubit rho): a one-shot
+    // program merges only when composing is cheaper than the apply it
+    // removes.
+    const double amps = std::ldexp(1.0, 2 * local.num_qubits());
+    const double apply1 = 4.0 * amps;
+    const double apply2 = 16.0 * amps;
+    constexpr double compose4 = 64.0;
+    constexpr double compose16 = 4096.0;
+    auto pays = [replays](double compose, double removed) {
+        return replays == Replays::Many || compose < removed;
+    };
 
     struct Slot
     {
@@ -121,6 +256,9 @@ NoisyProgram::compile(const circ::Circuit &local,
     };
     std::vector<Slot> stream;
     stream.reserve(local.ops().size() * 2);
+    prog.mats16_.reserve(static_cast<std::size_t>(std::count_if(
+        local.ops().begin(), local.ops().end(),
+        [](const circ::Op &op) { return op.num_qubits() == 2; })));
     // Same invariant as the state-vector fusion pass: open[q] indexes
     // the stream entry still fusable on qubit q, and nothing between
     // it and the current position touches q.
@@ -132,20 +270,22 @@ NoisyProgram::compile(const circ::Circuit &local,
     auto slot_at = [&stream](int idx) -> Slot & {
         return stream[static_cast<std::size_t>(idx)];
     };
-    auto clamp01 = [](double v) { return std::clamp(v, 0.0, 1.0); };
-
     auto add_super1 = [&](const Mat4 &s, int q) {
         const int idx = open_at(q);
         if (idx >= 0) {
             Entry &e = slot_at(idx).entry;
-            if (e.kind == Entry::Kind::Super1) {
+            if (e.kind == Entry::Kind::Super1 && pays(compose4, apply1)) {
                 e.s4 = sim::matmul(s, e.s4);
-            } else {
-                const int slot = e.q0 == q ? 0 : 1;
-                e.s16 = sim::matmul(expand_superop_1q(s, slot), e.s16);
+                ++prog.ops_merged_;
+                return;
             }
-            ++prog.ops_merged_;
-            return;
+            if (e.kind == Entry::Kind::Super2 && pays(compose16, apply1)) {
+                const int slot = e.q0 == q ? 0 : 1;
+                Mat16 &m = prog.mats16_[e.m16];
+                m = sim::matmul(expand_superop_1q(s, slot), m);
+                ++prog.ops_merged_;
+                return;
+            }
         }
         Slot sl;
         sl.entry.kind = Entry::Kind::Super1;
@@ -155,46 +295,41 @@ NoisyProgram::compile(const circ::Circuit &local,
         stream.push_back(sl);
     };
 
-    auto add_super2 = [&](Mat16 s, int a, int b) {
+    auto add_super2 = [&](const Mat16 &s, int a, int b) {
         if (open_at(a) >= 0 && open_at(a) == open_at(b) &&
-            slot_at(open_at(a)).entry.kind == Entry::Kind::Super2) {
+            slot_at(open_at(a)).entry.kind == Entry::Kind::Super2 &&
+            pays(compose16, apply2)) {
             Entry &e = slot_at(open_at(a)).entry;
-            Mat16 prev = e.s16;
+            Mat16 &m = prog.mats16_[e.m16];
             if (e.q0 == b)
-                prev = swap_superop_pair(prev);
-            e.s16 = sim::matmul(s, prev);
+                m = swap_superop_pair(m);
+            m = sim::matmul(s, m);
             e.q0 = a;
             e.q1 = b;
             ++prog.ops_merged_;
             return;
         }
+        Slot sl;
+        sl.entry.kind = Entry::Kind::Super2;
+        sl.entry.m16 = prog.mats16_.size();
+        prog.mats16_.push_back(s);
+        Mat16 &m = prog.mats16_.back();
+        sl.entry.q0 = a;
+        sl.entry.q1 = b;
         const int qs[2] = {a, b};
         for (int slot = 0; slot < 2; ++slot) {
             const int idx = open_at(qs[slot]);
             if (idx >= 0 &&
-                slot_at(idx).entry.kind == Entry::Kind::Super1) {
-                s = sim::matmul(
-                    s, expand_superop_1q(slot_at(idx).entry.s4, slot));
+                slot_at(idx).entry.kind == Entry::Kind::Super1 &&
+                pays(compose16, apply1)) {
+                m = sim::matmul(
+                    m, expand_superop_1q(slot_at(idx).entry.s4, slot));
                 slot_at(idx).skip = true;
                 ++prog.ops_merged_;
             }
         }
-        Slot sl;
-        sl.entry.kind = Entry::Kind::Super2;
-        sl.entry.s16 = s;
-        sl.entry.q0 = a;
-        sl.entry.q1 = b;
         open_at(a) = open_at(b) = static_cast<int>(stream.size());
         stream.push_back(sl);
-    };
-
-    auto thermal_superop = [&](int pq, double duration_ns) {
-        return kraus_superop_1q(thermal_relaxation_kraus(
-            device.t1_us[static_cast<std::size_t>(pq)] /
-                std::max(scale, 1e-9),
-            device.t2_us[static_cast<std::size_t>(pq)] /
-                std::max(scale, 1e-9),
-            duration_ns));
     };
 
     for (const circ::Op &op : local.ops()) {
@@ -213,69 +348,25 @@ NoisyProgram::compile(const circ::Circuit &local,
             sl.entry.kind = Entry::Kind::Barrier;
             sl.entry.op = op;
             stream.push_back(sl);
-            if (op.kind == circ::GateKind::AmpEmbed)
+            if (op.kind == circ::GateKind::AmpEmbed || !table.noisy())
                 continue;
         }
 
         if (op.num_qubits() == 1) {
             const int lq = op.qubits[0];
-            Mat4 s = {};
-            bool have = false;
-            if (fixed) {
-                s = unitary_superop_1q(sim::gate_matrix_1q(
-                    op.kind, circ::op_angles(op, {}, {})));
-                have = true;
-            }
-            if (scale > 0.0) {
-                const int pq = kept[static_cast<std::size_t>(lq)];
-                const double err = clamp01(
-                    scale *
-                    device.error_1q[static_cast<std::size_t>(pq)]);
-                const Mat4 noise = sim::matmul(
-                    thermal_superop(pq, device.duration_1q_ns),
-                    kraus_superop_1q(depolarizing_1q_kraus(err)));
-                s = have ? sim::matmul(noise, s) : noise;
-                have = true;
-            }
-            if (have)
-                add_super1(s, lq);
+            const int pq = kept[static_cast<std::size_t>(lq)];
+            add_super1(fixed ? table.gate_1q(op.kind, pq)
+                             : table.noise_1q(pq),
+                       lq);
         } else {
             const int la = op.qubits[0], lb = op.qubits[1];
-            Mat16 s = {};
-            bool have = false;
-            if (fixed) {
-                s = unitary_superop_2q(sim::gate_matrix_2q(
-                    op.kind, circ::op_angles(op, {}, {})));
-                have = true;
-            }
-            if (scale > 0.0) {
-                const int pa = kept[static_cast<std::size_t>(la)];
-                const int pb = kept[static_cast<std::size_t>(lb)];
-                if (!device.topology.has_edge(pa, pb))
-                    elv::fatal(
-                        "2-qubit gate on uncoupled physical qubits " +
-                        std::to_string(pa) + "," + std::to_string(pb) +
-                        "; route the circuit first");
-                const double err =
-                    clamp01(scale * device.edge_error(pa, pb));
-                Mat16 noise = kraus_superop_2q(depolarizing_2q_kraus(err));
-                // CRY lowers to two CX on hardware: pay the channel
-                // twice (matching the unfused schedule).
-                if (op.kind == circ::GateKind::CRY)
-                    noise = sim::matmul(noise, noise);
-                noise = sim::matmul(
-                    expand_superop_1q(
-                        thermal_superop(pa, device.duration_2q_ns), 0),
-                    noise);
-                noise = sim::matmul(
-                    expand_superop_1q(
-                        thermal_superop(pb, device.duration_2q_ns), 1),
-                    noise);
-                s = have ? sim::matmul(noise, s) : noise;
-                have = true;
-            }
-            if (have)
-                add_super2(s, la, lb);
+            const int pa = kept[static_cast<std::size_t>(la)];
+            const int pb = kept[static_cast<std::size_t>(lb)];
+            add_super2(fixed ? table.gate_2q(op.kind, pa, pb)
+                             : table.noise_2q(pa, pb,
+                                              op.kind ==
+                                                  circ::GateKind::CRY),
+                       la, lb);
         }
     }
 
@@ -301,7 +392,7 @@ NoisyProgram::run(sim::DensityMatrix &rho, const std::vector<double> &params,
             rho.apply_superop_1q(e.s4, e.q0);
             break;
           case Entry::Kind::Super2:
-            rho.apply_superop_2q(e.s16, e.q0, e.q1);
+            rho.apply_superop_2q(mats16_[e.m16], e.q0, e.q1);
             break;
           case Entry::Kind::Barrier:
             rho.apply_op(e.op, params, x);

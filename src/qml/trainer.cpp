@@ -74,7 +74,9 @@ train_circuit(const circ::Circuit &circuit, const Dataset &data,
                     static_cast<std::size_t>(data.num_classes),
                 "not enough measured qubits for the class count");
 
-    lint::preflight(circuit, lint::Boundary::Training);
+    lint::LintOptions lint_options;
+    lint_options.input_width = data.dim();
+    lint::preflight(circuit, lint::Boundary::Training, lint_options);
 
     // Optional dead-structure elision: out-of-lightcone ops are removed
     // and their parameter slots densely renumbered; param_map records

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <set>
 
+#include "circuit/serialize.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/statistics.hpp"
@@ -222,6 +223,74 @@ TEST(Cnr, PredictsCircuitFidelity)
         fidelities.push_back(fid / bindings);
     }
     EXPECT_GT(pearson_r(cnrs, fidelities), 0.55);
+}
+
+/** Small density-backend search whose CNR stage Cnr.PinnedToParentCommit
+ *  pins. */
+SearchResult
+pinned_cnr_search(const std::string &device_name, int qubits)
+{
+    const qml::Benchmark bench = qml::make_benchmark("moons", 31, 0.1);
+    const dev::Device device = dev::make_device(device_name);
+    ElivagarConfig config;
+    config.num_candidates = 8;
+    config.candidate = small_config();
+    config.candidate.num_qubits = qubits;
+    config.candidate.num_features = bench.spec.dim;
+    config.cnr.num_replicas = 8;
+    config.repcap.samples_per_class = 4;
+    config.repcap.param_inits = 2;
+    config.seed = 41;
+    return elivagar_search(device, bench.train, config);
+}
+
+TEST(Cnr, PinnedToParentCommit)
+{
+    // Density CNR recorded before replicas compiled from per-simulator
+    // noise tables with the one-shot fusion cost model. Fusing less
+    // reassociates the superoperator products, so values may move in
+    // the last bits, but never by more than 1e-12 relative, and the
+    // survivors and the winner must not change.
+    struct Pinned
+    {
+        const char *device;
+        int qubits;
+        double cnr[8];
+        bool rejected[8];
+        std::size_t best;
+    };
+    const Pinned cases[] = {
+        {"ibm_perth",
+         4,
+         {0x1.f09829c133098p-1, 0x1.f3a0fb4abcf9cp-1, 0x1.ec857174493dap-1,
+          0x1.f5a58f468f69ep-1, 0x1.f16476d1bd687p-1, 0x1.de1b6c1ec6432p-1,
+          0x1.eb4ebf0af4p-1, 0x1.de41689b00e59p-1},
+         {false, false, true, false, false, true, true, true},
+         0},
+        {"ibm_guadalupe",
+         6,
+         {0x1.f8f9045ec5255p-1, 0x1.f06723aa20603p-1, 0x1.d9d231cebc8b6p-1,
+          0x1.eefcb84ee25aep-1, 0x1.f4e04e653bce9p-1, 0x1.f0264f30d9e0fp-1,
+          0x1.edd717c3ea40ap-1, 0x1.f6b9b142427dap-1},
+         {false, false, true, true, false, true, true, false},
+         7},
+    };
+    for (const Pinned &pin : cases) {
+        SCOPED_TRACE(pin.device);
+        const SearchResult result =
+            pinned_cnr_search(pin.device, pin.qubits);
+        ASSERT_EQ(result.candidates.size(), 8u);
+        EXPECT_EQ(result.survivors, 4);
+        for (std::size_t i = 0; i < 8; ++i) {
+            const CandidateRecord &record = result.candidates[i];
+            EXPECT_NEAR(record.cnr, pin.cnr[i], 1e-12 * pin.cnr[i])
+                << "candidate " << i;
+            EXPECT_EQ(record.rejected_by_cnr, pin.rejected[i])
+                << "candidate " << i;
+        }
+        EXPECT_EQ(circ::to_text_line(result.best_circuit),
+                  circ::to_text_line(result.candidates[pin.best].circuit));
+    }
 }
 
 TEST(Cnr, StabilizerBackendAgreesWithDensity)

@@ -13,6 +13,7 @@
 #include <complex>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -357,6 +358,194 @@ TEST(NoisyProgram, NoiseScaleZeroIsNoiselessInBothPaths)
     for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_NEAR(a[i], b[i], 1e-12);
     EXPECT_NEAR(fused.fidelity(c, params, x), 1.0, 1e-9);
+}
+
+/** A generated candidate whose compacted circuit has `qubits` qubits. */
+circ::Circuit
+candidate_on(const dev::Device &device, int qubits, elv::Rng &rng)
+{
+    core::CandidateConfig config;
+    config.num_qubits = qubits;
+    config.num_params = 3 * qubits;
+    config.num_embeds = 3;
+    config.num_meas = 2;
+    config.num_features = 3;
+    for (int attempt = 0; attempt < 100; ++attempt) {
+        const circ::Circuit c = core::generate_candidate(device, config, rng);
+        std::vector<int> kept;
+        if (c.compacted(kept).num_qubits() == qubits)
+            return c;
+    }
+    ADD_FAILURE() << "no candidate touching exactly " << qubits
+                  << " qubits";
+    return core::generate_candidate(device, config, rng);
+}
+
+void
+expect_close(const std::vector<double> &a, const std::vector<double> &b,
+             const std::string &context)
+{
+    ASSERT_EQ(a.size(), b.size()) << context;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        EXPECT_NEAR(a[i], b[i], 1e-12) << context << " outcome " << i;
+}
+
+TEST(NoisyProgram, OneShotAndReplayedMatchUnfusedAcrossDevicesAndSizes)
+{
+    // Every execution mode against the per-gate channel loop:
+    // one_shot_fidelity() (cost-model fusion, Replays::Once), and
+    // run_distribution / fidelity() cold (compile + cache miss) and warm
+    // (cache hit, fused fully), on candidates and their Clifford
+    // replicas at 3-6 qubits.
+    for (const char *name : {"ibm_perth", "ibmq_jakarta", "ibm_guadalupe"}) {
+        const dev::Device device = dev::make_device(name);
+        elv::Rng rng(53);
+        for (int qubits = 3; qubits <= 6; ++qubits) {
+            const std::string context =
+                std::string(name) + " " + std::to_string(qubits) + "q";
+            const circ::Circuit c = candidate_on(device, qubits, rng);
+            const auto params = random_values(
+                static_cast<std::size_t>(c.num_params()), rng);
+            const auto x = random_values(3, rng);
+
+            noise::NoisyDensitySimulator fused(device);
+            noise::NoisyDensitySimulator unfused(device);
+            unfused.use_fused_execution(false);
+
+            const auto reference = unfused.run_distribution(c, params, x);
+            expect_close(fused.run_distribution(c, params, x), reference,
+                         context + " cold");
+            expect_close(fused.run_distribution(c, params, x), reference,
+                         context + " warm");
+            const double fid = unfused.fidelity(c, params, x);
+            EXPECT_NEAR(fused.one_shot_fidelity(c, params, x), fid, 1e-12)
+                << context;
+            EXPECT_NEAR(fused.fidelity(c, params, x), fid, 1e-12) << context;
+
+            for (int m = 0; m < 3; ++m) {
+                const circ::Circuit replica =
+                    circ::make_clifford_replica(c, rng);
+                const double replica_fid = unfused.fidelity(replica);
+                EXPECT_NEAR(fused.one_shot_fidelity(replica), replica_fid,
+                            1e-12)
+                    << context << " replica " << m;
+                EXPECT_NEAR(fused.fidelity(replica), replica_fid, 1e-12)
+                    << context << " replica " << m;
+                const auto replica_ref = unfused.run_distribution(replica);
+                expect_close(fused.run_distribution(replica), replica_ref,
+                             context + " replica cold");
+                expect_close(fused.run_distribution(replica), replica_ref,
+                             context + " replica warm");
+            }
+        }
+    }
+}
+
+TEST(NoisyProgram, CostModelMergesLessOnlyWhereComposingCostsMore)
+{
+    // At 6 qubits every merge pays for itself even run once, so the
+    // one-shot program is the fully fused one. At 4 qubits a one-shot
+    // program keeps its 2-qubit superoperators apart and is longer.
+    const dev::Device device = dev::make_device("ibm_guadalupe");
+    const noise::NoiseTable table(device, 1.0);
+    elv::Rng rng(59);
+    for (int qubits : {4, 6}) {
+        const circ::Circuit replica = circ::make_clifford_replica(
+            candidate_on(device, qubits, rng), rng);
+        std::vector<int> kept;
+        const circ::Circuit local = replica.compacted(kept);
+        const noise::NoisyProgram once = noise::NoisyProgram::compile(
+            local, kept, table, noise::NoisyProgram::Replays::Once);
+        const noise::NoisyProgram replayed = noise::NoisyProgram::compile(
+            local, kept, table, noise::NoisyProgram::Replays::Many);
+        EXPECT_EQ(once.size() + once.ops_merged(),
+                  replayed.size() + replayed.ops_merged());
+        if (qubits == 6) {
+            EXPECT_EQ(once.size(), replayed.size());
+            EXPECT_EQ(once.ops_merged(), replayed.ops_merged());
+        } else {
+            EXPECT_GT(once.size(), replayed.size());
+            EXPECT_GT(once.ops_merged(), 0u); // 1q runs still merge
+        }
+    }
+}
+
+TEST(NoisyProgram, FilledTableGivesBitIdenticalDistributions)
+{
+    // Table entries are pure functions of their keys: a simulator whose
+    // table other circuits already filled reproduces a fresh one.
+    const dev::Device device = dev::make_device("ibm_perth");
+    elv::Rng rng(61);
+    noise::NoisyDensitySimulator warm(device);
+    for (int n = 0; n < 4; ++n) {
+        const circ::Circuit other = candidate_on(device, 4, rng);
+        (void)warm.one_shot_fidelity(
+            circ::make_clifford_replica(other, rng));
+        (void)warm.run_distribution(
+            other,
+            random_values(static_cast<std::size_t>(other.num_params()), rng),
+            random_values(3, rng));
+    }
+    for (int n = 0; n < 3; ++n) {
+        const circ::Circuit c = candidate_on(device, 4, rng);
+        const auto params =
+            random_values(static_cast<std::size_t>(c.num_params()), rng);
+        const auto x = random_values(3, rng);
+        const noise::NoisyDensitySimulator fresh(device);
+        EXPECT_EQ(fresh.run_distribution(c, params, x),
+                  warm.run_distribution(c, params, x));
+        const circ::Circuit replica = circ::make_clifford_replica(c, rng);
+        const noise::NoisyDensitySimulator fresh_replica(device);
+        EXPECT_EQ(fresh_replica.one_shot_fidelity(replica),
+                  warm.one_shot_fidelity(replica));
+    }
+}
+
+TEST(NoisyProgram, ConcurrentFidelityOnOneSimulatorMatchesSerial)
+{
+    const dev::Device device = dev::make_device("ibmq_jakarta");
+    elv::Rng rng(67);
+    std::vector<circ::Circuit> replicas;
+    for (int n = 0; n < 8; ++n)
+        replicas.push_back(circ::make_clifford_replica(
+            candidate_on(device, 3 + n % 3, rng), rng));
+
+    // serial[0]: one_shot_fidelity (the CNR path); serial[1]: the
+    // cached fidelity().
+    std::vector<double> serial[2];
+    {
+        const noise::NoisyDensitySimulator sim(device);
+        for (const circ::Circuit &r : replicas) {
+            serial[0].push_back(sim.one_shot_fidelity(r));
+            serial[1].push_back(sim.fidelity(r));
+        }
+    }
+
+    const noise::NoisyDensitySimulator shared(device);
+    constexpr int kThreads = 4;
+    std::vector<std::vector<double>> got(kThreads);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t)
+        workers.emplace_back([&, t] {
+            // Each thread walks the replicas from a different start, so
+            // table misses race on every key; odd threads also race on
+            // the program cache.
+            for (std::size_t i = 0; i < replicas.size(); ++i) {
+                const std::size_t k =
+                    (i + static_cast<std::size_t>(t) * 2) % replicas.size();
+                got[static_cast<std::size_t>(t)].push_back(
+                    t % 2 == 0 ? shared.one_shot_fidelity(replicas[k])
+                               : shared.fidelity(replicas[k]));
+            }
+        });
+    for (std::thread &w : workers)
+        w.join();
+    for (int t = 0; t < kThreads; ++t)
+        for (std::size_t i = 0; i < replicas.size(); ++i)
+            EXPECT_EQ(got[static_cast<std::size_t>(t)][i],
+                      serial[t % 2][(i + static_cast<std::size_t>(t) * 2) %
+                                    replicas.size()])
+                << "thread " << t << " step " << i;
 }
 
 /** A small trainable circuit on the moons features. */

@@ -16,6 +16,7 @@
 #include "circuit/builders.hpp"
 #include "circuit/circuit.hpp"
 #include "circuit/clifford_replica.hpp"
+#include "circuit/serialize.hpp"
 #include "common/logging.hpp"
 #include "compiler/compile.hpp"
 #include "core/candidate_gen.hpp"
@@ -23,6 +24,8 @@
 #include "lint/lint.hpp"
 #include "lint/preflight.hpp"
 #include "obs/metrics.hpp"
+#include "qml/synthetic.hpp"
+#include "qml/trainer.hpp"
 #include "sim/fusion.hpp"
 
 namespace {
@@ -143,6 +146,35 @@ TEST(LintAdversarial, ParamBindingEmbeddingWithoutFeature)
     const std::vector<int> measured = {0};
     expect_only_error(lint::lint_circuit(CircuitView{1, 0, ops, measured}),
                       "param-binding");
+}
+
+TEST(LintAdversarial, ParamBindingFeatureBeyondInputWidth)
+{
+    // A whole-token feature index that parses cleanly but names a
+    // feature no input sample has: only a known input width catches it
+    // before the simulator's bounds check does.
+    const Circuit c = circ::from_text("elv-circuit 1\n"
+                                      "qubits 3\n"
+                                      "var RX 0\n"
+                                      "embed RZ 2 feat 29999\n"
+                                      "measure 2\n");
+    expect_no_errors(lint::lint_circuit(c), "unknown input width");
+    LintOptions options;
+    options.input_width = 4;
+    expect_only_error(lint::lint_circuit(c, options), "param-binding");
+    options.input_width = 30000;
+    expect_no_errors(lint::lint_circuit(c, options), "wide input");
+
+    // The second index of a product embedding is bounded too.
+    const Circuit product = circ::from_text("elv-circuit 1\n"
+                                            "qubits 1\n"
+                                            "embed RZ 0 feat 1*4\n"
+                                            "measure 0\n");
+    options.input_width = 4;
+    expect_only_error(lint::lint_circuit(product, options),
+                      "param-binding");
+    options.input_width = 5;
+    expect_no_errors(lint::lint_circuit(product, options), "product");
 }
 
 TEST(LintAdversarial, EmbeddingOrderAmpEmbedNotFirst)
@@ -671,6 +703,32 @@ TEST(LintPreflight, SearchPipelineRunsCleanUnderFatalPreflight)
         EXPECT_NO_THROW(core::generate_candidate(device, config, rng));
     const Circuit logical = core::generate_device_unaware(config, rng);
     EXPECT_NO_THROW(comp::compile_for_device(logical, device, 2, rng));
+}
+
+TEST(LintPreflight, TrainingBoundaryChecksInputWidth)
+{
+    PreflightFatalGuard guard;
+    lint::set_preflight_fatal(true);
+    const qml::Benchmark bench = qml::make_benchmark("moons", 3, 0.1);
+    const Circuit c = circ::from_text("elv-circuit 1\n"
+                                      "qubits 2\n"
+                                      "var RX 0\n"
+                                      "embed RZ 1 feat 29999\n"
+                                      "measure 0 1\n");
+    qml::TrainConfig config;
+    config.epochs = 1;
+    try {
+        qml::train_circuit(c, bench.train, config);
+        FAIL() << "training accepted feature 29999 of a "
+               << bench.train.dim() << "-feature input";
+    } catch (const elv::InternalError &e) {
+        EXPECT_NE(std::string(e.what()).find("training boundary"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("feature index 29999"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(LintPreflight, BoundaryNames)

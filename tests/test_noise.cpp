@@ -10,7 +10,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <set>
 #include <string>
+#include <tuple>
 
 #include "circuit/builders.hpp"
 #include "circuit/clifford_replica.hpp"
@@ -218,6 +220,65 @@ TEST(NoisyDensity, ProgramCacheCountsEntriesDroppedAtCapacity)
     EXPECT_EQ(counter_delta(before, after, "cache.noisy_program.evictions"),
               128u);
 #endif
+}
+
+TEST(NoisyDensity, NoiseTableCountsOneMissPerKeyAcrossReplicas)
+{
+    // Two CNR replicas of one candidate on one simulator: every replica
+    // op is a fixed gate and reads one noise∘gate entry; only the first
+    // read of each (kind, physical qubits) key builds it.
+    const dev::Device dev = make_device("ibmq_jakarta");
+    Circuit candidate(dev.num_qubits());
+    candidate.add_variational(GateKind::RY, {0});
+    candidate.add_variational(GateKind::RX, {1});
+    candidate.add_gate(GateKind::CX, {0, 1});
+    candidate.add_variational(GateKind::RZ, {2});
+    candidate.add_gate(GateKind::CX, {1, 2});
+    candidate.add_embedding(GateKind::RY, {0}, 0);
+    candidate.add_variational(GateKind::RX, {3});
+    candidate.add_gate(GateKind::CZ, {1, 3});
+    candidate.add_variational(GateKind::RY, {1});
+    candidate.add_gate(GateKind::CX, {2, 1});
+    candidate.add_variational(GateKind::RZ, {0});
+    candidate.set_measured({0, 1});
+    Rng rng(71);
+    const Circuit first = make_clifford_replica(candidate, rng);
+    const Circuit second = make_clifford_replica(candidate, rng);
+
+    std::uint64_t lookups = 0;
+    std::set<std::tuple<GateKind, int, int>> keys;
+    for (const Circuit *replica : {&first, &second})
+        for (const Op &op : replica->ops()) {
+            ++lookups;
+            keys.emplace(op.kind, op.qubits[0], op.qubits[1]);
+        }
+
+    obs::Registry &registry = obs::Registry::global();
+    registry.set_enabled(true);
+    const obs::MetricsSnapshot before = registry.snapshot();
+    NoisyDensitySimulator sim(dev);
+    (void)sim.one_shot_fidelity(first);
+    (void)sim.one_shot_fidelity(second);
+    const obs::MetricsSnapshot after = registry.snapshot();
+    registry.set_enabled(false);
+
+    const std::uint64_t hits =
+        counter_delta(before, after, "cache.noise_table.hits");
+    const std::uint64_t misses =
+        counter_delta(before, after, "cache.noise_table.misses");
+#ifdef ELV_OBS_DISABLED
+    // The metric macros compile to no-ops: nothing may move.
+    EXPECT_EQ(hits, 0u);
+    EXPECT_EQ(misses, 0u);
+#else
+    EXPECT_EQ(misses, keys.size());
+    EXPECT_EQ(hits + misses, lookups);
+    EXPECT_EQ(hits, 18u);
+    EXPECT_EQ(misses, 11u);
+#endif
+    // one_shot_fidelity() never enters the program cache.
+    EXPECT_EQ(counter_delta(before, after, "cache.noisy_program.misses"),
+              0u);
 }
 
 TEST(NoisyDensity, FidelityDecreasesWithDepth)
