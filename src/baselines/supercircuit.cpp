@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "common/logging.hpp"
 #include "qml/optimizer.hpp"
@@ -236,6 +237,13 @@ train_supercircuit(const SuperCircuit &super, const qml::Dataset &data,
                 params[i] = result.shared_params[static_cast<std::size_t>(
                     slot_map[i])];
 
+            // One subcircuit and one parameter vector per batch.
+            std::optional<sim::AdjointProgram> adjoint;
+            if (config.backend == qml::GradientBackend::Adjoint) {
+                adjoint.emplace(
+                    sim::AdjointProgram::compile(circuit, program));
+                adjoint->bind(params);
+            }
             const auto projectors = sim::class_projectors(
                 circuit.measured(), data.num_classes);
             std::vector<double> shared_grad(result.shared_params.size(),
@@ -251,9 +259,8 @@ train_supercircuit(const SuperCircuit &super, const qml::Dataset &data,
                     projectors[static_cast<std::size_t>(
                         data.labels[idx])]};
                 sim::GradientResult g;
-                if (config.backend == qml::GradientBackend::Adjoint)
-                    g = sim::adjoint_gradient(circuit, program, params,
-                                              data.samples[idx], obs);
+                if (adjoint)
+                    g = adjoint->run(data.samples[idx], obs);
                 else
                     g = sim::parameter_shift_gradient(
                         circuit, program, params, data.samples[idx], obs);

@@ -45,6 +45,9 @@ struct Op
     int num_qubits() const { return gate_num_qubits(kind); }
     /** Number of continuous parameters this op consumes. */
     int num_params() const { return gate_num_params(kind); }
+
+    /** Same gate application and binding, field by field. */
+    bool operator==(const Op &) const = default;
 };
 
 /**

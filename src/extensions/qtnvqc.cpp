@@ -113,7 +113,8 @@ QtnVqc::train_joint(const circ::Circuit &circuit, const qml::Dataset &data,
     qml::Adam optimizer(flat.size(), config_.learning_rate);
     const auto projectors =
         sim::class_projectors(local.measured(), data.num_classes);
-    const sim::FusedProgram program = sim::FusedProgram::compile(local);
+    sim::AdjointProgram adjoint = sim::AdjointProgram::compile(
+        local, sim::FusedProgram::compile(local));
 
     std::vector<std::size_t> order(data.samples.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
@@ -130,6 +131,9 @@ QtnVqc::train_joint(const circ::Circuit &circuit, const qml::Dataset &data,
             std::vector<double> grad(flat.size(), 0.0);
             const double inv_batch =
                 1.0 / static_cast<double>(batch_end - cursor);
+            // The circuit parameters only move at the batch's Adam step.
+            adjoint.bind(std::vector<double>(
+                flat.begin(), flat.begin() + static_cast<std::ptrdiff_t>(np)));
 
             for (std::size_t bi = cursor; bi < batch_end; ++bi) {
                 const std::size_t idx = order[bi];
@@ -158,13 +162,9 @@ QtnVqc::train_joint(const circ::Circuit &circuit, const qml::Dataset &data,
                 }
 
                 // Quantum forward + gradients (params and embeddings).
-                const std::vector<double> params(
-                    flat.begin(),
-                    flat.begin() + static_cast<std::ptrdiff_t>(np));
                 const std::vector<sim::DiagonalObservable> obs = {
                     projectors[static_cast<std::size_t>(label)]};
-                const auto g = sim::adjoint_gradient(local, program, params,
-                                                     y, obs, true);
+                const auto g = adjoint.run(y, obs, true);
                 exec_count += g.circuit_executions;
 
                 const double p_y = std::max(g.values[0], 1e-10);

@@ -174,15 +174,6 @@ matrix_finite(const Mat &m)
     return true;
 }
 
-/** Do two IR ops describe the same gate application and binding? */
-bool
-ops_equal(const circ::Op &a, const circ::Op &b)
-{
-    return a.kind == b.kind && a.qubits == b.qubits && a.role == b.role &&
-           a.param_index == b.param_index && a.data_index == b.data_index &&
-           a.data_index2 == b.data_index2;
-}
-
 std::string
 describe_op(const circ::Op &op)
 {
@@ -258,6 +249,9 @@ lint_program(const sim::FusedProgram &program, const circ::Circuit &source,
                         "entries");
             break;
           case sim::FusedOp::Kind::Two:
+          case sim::FusedOp::Kind::CX:
+          case sim::FusedOp::Kind::CZ:
+          case sim::FusedOp::Kind::SWAP:
             ++groups;
             if (fop.q0 < 0 || fop.q0 >= n || fop.q1 < 0 || fop.q1 >= n ||
                 fop.q0 == fop.q1)
@@ -283,7 +277,7 @@ lint_program(const sim::FusedProgram &program, const circ::Circuit &source,
                 out.add(Severity::Error, rule, at,
                         "barrier " + describe_op(fop.op) +
                             " has no matching source op");
-            } else if (!ops_equal(fop.op, *expected[barrier_index])) {
+            } else if (fop.op != *expected[barrier_index]) {
                 out.add(Severity::Error, rule, at,
                         "barrier " + describe_op(fop.op) +
                             " does not match source op " +

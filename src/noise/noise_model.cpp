@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "circuit/serialize.hpp"
 #include "common/logging.hpp"
 #include "common/statistics.hpp"
 #include "obs/metrics.hpp"
@@ -87,28 +86,70 @@ NoisyDensitySimulator::NoisyDensitySimulator(const dev::Device &device,
     device.validate();
 }
 
-std::shared_ptr<const NoisyProgram>
-NoisyDensitySimulator::program_for(const circ::Circuit &circuit,
-                                   const circ::Circuit &local,
-                                   const std::vector<int> &kept) const
+namespace {
+
+std::uint64_t
+mix(std::uint64_t h, long long v)
 {
-    const std::string key = circ::to_text_line(circuit);
+    // FNV-1a over whole values.
+    h ^= static_cast<std::uint64_t>(v);
+    return h * 0x100000001b3ULL;
+}
+
+/** Hash of everything a compiled noisy program depends on. */
+std::uint64_t
+structural_hash(const circ::Circuit &c)
+{
+    std::uint64_t h = mix(0xcbf29ce484222325ULL, c.num_qubits());
+    for (const circ::Op &op : c.ops()) {
+        h = mix(h, static_cast<long long>(op.kind));
+        h = mix(h, op.qubits[0]);
+        h = mix(h, op.qubits[1]);
+        h = mix(h, static_cast<long long>(op.role));
+        h = mix(h, op.param_index);
+        h = mix(h, op.data_index);
+        h = mix(h, op.data_index2);
+    }
+    h = mix(h, -2); // measured qubits follow
+    for (int q : c.measured())
+        h = mix(h, q);
+    return h;
+}
+
+bool
+same_circuit(const circ::Circuit &a, const circ::Circuit &b)
+{
+    return a.num_qubits() == b.num_qubits() && a.ops() == b.ops() &&
+           a.measured() == b.measured();
+}
+
+} // namespace
+
+std::shared_ptr<const NoisyDensitySimulator::CachedProgram>
+NoisyDensitySimulator::program_for(const circ::Circuit &circuit) const
+{
+    const std::uint64_t key = structural_hash(circuit);
     std::lock_guard<std::mutex> lock(cache_mutex_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-        ELV_METRIC_COUNT("cache.noisy_program.hits");
-        return it->second;
+    const auto [first, last] = cache_.equal_range(key);
+    for (auto it = first; it != last; ++it) {
+        if (same_circuit(it->second->circuit, circuit)) {
+            ELV_METRIC_COUNT("cache.noisy_program.hits");
+            return it->second;
+        }
     }
     ELV_METRIC_COUNT("cache.noisy_program.misses");
     if (cache_.size() >= 128) {
         ELV_METRIC_COUNT_N("cache.noisy_program.evictions", cache_.size());
         cache_.clear();
     }
-    auto program = std::make_shared<const NoisyProgram>(
-        NoisyProgram::compile(local, kept, table_,
-                              NoisyProgram::Replays::Many));
-    cache_.emplace(key, program);
-    return program;
+    std::vector<int> kept;
+    circ::Circuit local = circuit.compacted(kept);
+    NoisyProgram program = NoisyProgram::compile(
+        local, kept, table_, NoisyProgram::Replays::Many);
+    auto entry = std::make_shared<const CachedProgram>(CachedProgram{
+        circuit, std::move(local), std::move(kept), std::move(program)});
+    cache_.emplace(key, entry);
+    return entry;
 }
 
 std::vector<double>
@@ -118,28 +159,32 @@ NoisyDensitySimulator::run_distribution(const circ::Circuit &circuit,
 {
     ELV_REQUIRE(circuit.num_qubits() <= device_.num_qubits(),
                 "circuit larger than device");
+    if (fused_) {
+        const auto entry = program_for(circuit);
+        return noisy_distribution(entry->local, entry->kept,
+                                  &entry->program, params, x);
+    }
     std::vector<int> kept;
     const circ::Circuit local = circuit.compacted(kept);
-    return noisy_distribution(circuit, local, kept,
-                              NoisyProgram::Replays::Many, params, x);
+    return noisy_distribution(local, kept, nullptr, params, x);
 }
 
 std::vector<double>
-NoisyDensitySimulator::noisy_distribution(const circ::Circuit &circuit,
-                                          const circ::Circuit &local,
+NoisyDensitySimulator::noisy_distribution(const circ::Circuit &local,
                                           const std::vector<int> &kept,
-                                          NoisyProgram::Replays replays,
+                                          const NoisyProgram *cached,
                                           const std::vector<double> &params,
                                           const std::vector<double> &x)
     const
 {
     sim::DensityMatrix rho(local.num_qubits());
-    if (!fused_)
+    if (cached)
+        cached->run(rho, params, x);
+    else if (!fused_)
         apply_unfused(rho, local, kept, params, x);
-    else if (replays == NoisyProgram::Replays::Many)
-        program_for(circuit, local, kept)->run(rho, params, x);
     else
-        NoisyProgram::compile(local, kept, table_, replays)
+        NoisyProgram::compile(local, kept, table_,
+                              NoisyProgram::Replays::Once)
             .run(rho, params, x);
 
     auto probs = rho.probabilities(local.measured());
@@ -237,8 +282,18 @@ NoisyDensitySimulator::fidelity_of(const circ::Circuit &circuit,
 {
     ELV_REQUIRE(circuit.num_qubits() <= device_.num_qubits(),
                 "circuit larger than device");
-    std::vector<int> kept;
-    const circ::Circuit local = circuit.compacted(kept);
+    // A replayed program comes with its compaction; anything else
+    // compacts here.
+    std::shared_ptr<const CachedProgram> entry;
+    std::vector<int> own_kept;
+    circ::Circuit own_local;
+    if (fused_ && replays == NoisyProgram::Replays::Many)
+        entry = program_for(circuit);
+    else
+        own_local = circuit.compacted(own_kept);
+    const circ::Circuit &local = entry ? entry->local : own_local;
+    const std::vector<int> &kept = entry ? entry->kept : own_kept;
+
     sim::StateVector psi(local.num_qubits());
     if (fused_) {
         // The state-vector side compiles per call whatever `replays`:
@@ -248,8 +303,8 @@ NoisyDensitySimulator::fidelity_of(const circ::Circuit &circuit,
         psi.run(local, params, x);
     }
     const auto ideal = psi.probabilities(local.measured());
-    const auto noisy =
-        noisy_distribution(circuit, local, kept, replays, params, x);
+    const auto noisy = noisy_distribution(
+        local, kept, entry ? &entry->program : nullptr, params, x);
     return 1.0 - elv::total_variation_distance(ideal, noisy);
 }
 

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -115,18 +114,29 @@ class NoisyDensitySimulator
                        const std::vector<double> &params,
                        const std::vector<double> &x) const;
 
-    /** Cached compiled program for `circuit` (compiling on miss). */
-    std::shared_ptr<const NoisyProgram>
-    program_for(const circ::Circuit &circuit, const circ::Circuit &local,
-                const std::vector<int> &kept) const;
+    /** A program-cache entry: everything a hit needs to run. */
+    struct CachedProgram
+    {
+        /** The circuit compiled, compared exactly on every hit. */
+        circ::Circuit circuit;
+        /** Its compaction and the physical qubit behind each local one. */
+        circ::Circuit local;
+        std::vector<int> kept;
+        NoisyProgram program;
+    };
+
+    /** Cached compiled program for `circuit` (compacting and compiling
+     *  on miss). */
+    std::shared_ptr<const CachedProgram>
+    program_for(const circ::Circuit &circuit) const;
 
     /** Measured-qubit distribution of the compacted `local`, with
-     *  readout error: the program cache for Replays::Many, a one-shot
-     *  compile for Replays::Once, the per-gate loop when unfused. */
-    std::vector<double> noisy_distribution(const circ::Circuit &circuit,
-                                           const circ::Circuit &local,
+     *  readout error: replays `cached` when given, else compiles
+     *  one-shot (Replays::Once), or runs the per-gate loop when
+     *  unfused. */
+    std::vector<double> noisy_distribution(const circ::Circuit &local,
                                            const std::vector<int> &kept,
-                                           NoisyProgram::Replays replays,
+                                           const NoisyProgram *cached,
                                            const std::vector<double> &params,
                                            const std::vector<double> &x)
         const;
@@ -142,16 +152,18 @@ class NoisyDensitySimulator
     /** noise∘gate superoperators every compile reads from. */
     NoiseTable table_;
     /**
-     * Bounded program cache keyed by the exact serialization of the
-     * *original* (pre-compaction) circuit — physical qubit labels
-     * determine the noise, so the original text is the right key.
+     * Bounded program cache over the *original* (pre-compaction)
+     * circuit — physical qubit labels determine the noise. Keyed by a
+     * structural hash of its ops, measured qubits and register size;
+     * a hit is confirmed by exact comparison with the stored circuit,
+     * so neither a hit nor its run serializes or compacts anything.
      * Cleared wholesale at capacity (128 entries). Counters:
      * cache.noisy_program.{hits,misses} per lookup and
      * cache.noisy_program.evictions for the entries each clear drops.
      */
     mutable std::mutex cache_mutex_;
-    mutable std::unordered_map<std::string,
-                               std::shared_ptr<const NoisyProgram>>
+    mutable std::unordered_multimap<std::uint64_t,
+                                    std::shared_ptr<const CachedProgram>>
         cache_;
 };
 

@@ -29,7 +29,8 @@ gradient_variance(const circ::Circuit &circuit, elv::Rng &rng,
         static_cast<std::size_t>(std::max(1, local.num_data_features())),
         0.0);
 
-    const sim::FusedProgram program = sim::FusedProgram::compile(local);
+    sim::AdjointProgram adjoint = sim::AdjointProgram::compile(
+        local, sim::FusedProgram::compile(local));
     GradientVariance result;
     std::vector<double> params(
         static_cast<std::size_t>(local.num_params()));
@@ -37,7 +38,8 @@ gradient_variance(const circ::Circuit &circuit, elv::Rng &rng,
     for (int s = 0; s < options.num_samples; ++s) {
         for (auto &p : params)
             p = rng.uniform(-M_PI, M_PI);
-        const auto g = sim::adjoint_gradient(local, program, params, x, obs);
+        adjoint.bind(params);
+        const auto g = adjoint.run(x, obs);
         result.circuit_executions += g.circuit_executions;
         const double grad =
             g.jacobian[0][static_cast<std::size_t>(slot)];

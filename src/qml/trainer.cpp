@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -135,6 +136,11 @@ train_circuit(const circ::Circuit &circuit, const Dataset &data,
         sim::class_projectors(local.measured(), data.num_classes);
     // Compiled once for the whole call; pool threads share it read-only.
     const sim::FusedProgram program = sim::FusedProgram::compile(local);
+    // The adjoint sweep compiles once too and binds once per batch.
+    std::optional<sim::AdjointProgram> adjoint;
+    if (!config.distribution &&
+        config.backend == GradientBackend::Adjoint)
+        adjoint.emplace(sim::AdjointProgram::compile(local, program));
 
     // Guard the training loop against a misbehaving provider: one NaN
     // distribution would silently poison the Adam moments for good.
@@ -205,6 +211,10 @@ train_circuit(const circ::Circuit &circuit, const Dataset &data,
                         provider));
                 }
             } else {
+                // Parameters are fixed within the batch: bind before
+                // the fan-out, then every task reads the program.
+                if (adjoint)
+                    adjoint->bind(result.params);
                 batch_grads = pool.parallel_map<sim::GradientResult>(
                     batch_n, [&](std::size_t k) {
                         ELV_METRIC_COUNT("train.batch_tasks");
@@ -216,13 +226,10 @@ train_circuit(const circ::Circuit &circuit, const Dataset &data,
                         const std::vector<sim::DiagonalObservable> obs =
                             {projectors[static_cast<std::size_t>(
                                 data.labels[idx])]};
-                        return config.backend == GradientBackend::Adjoint
-                                   ? sim::adjoint_gradient(
-                                         local, program, result.params,
-                                         x, obs)
-                                   : sim::parameter_shift_gradient(
-                                         local, program, result.params,
-                                         x, obs);
+                        return adjoint ? adjoint->run(x, obs)
+                                       : sim::parameter_shift_gradient(
+                                             local, program,
+                                             result.params, x, obs);
                     });
             }
 

@@ -5,8 +5,6 @@
 #include "circuit/serialize.hpp"
 #include "common/logging.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "sim/kernel_obs.hpp"
 
 namespace elv::sim {
 
@@ -17,7 +15,24 @@ struct Entry
 {
     FusedOp fused;
     bool skip = false;
+    /**
+     * The kind a Two entry takes if it still holds only the CX/CZ/SWAP
+     * that opened it; Two once anything else is merged in.
+     */
+    FusedOp::Kind lone = FusedOp::Kind::Two;
 };
+
+/** The typed entry kind of a lone CX/CZ/SWAP, or Two for any other. */
+FusedOp::Kind
+lone_kind(circ::GateKind kind)
+{
+    switch (kind) {
+      case circ::GateKind::CX: return FusedOp::Kind::CX;
+      case circ::GateKind::CZ: return FusedOp::Kind::CZ;
+      case circ::GateKind::SWAP: return FusedOp::Kind::SWAP;
+      default: return FusedOp::Kind::Two;
+    }
+}
 
 } // namespace
 
@@ -79,6 +94,7 @@ FusedProgram::compile(const circ::Circuit &circuit)
                     const int slot = e.fused.q0 == q ? 0 : 1;
                     e.fused.m4 =
                         matmul(embed_1q_in_2q(u, slot), e.fused.m4);
+                    e.lone = FusedOp::Kind::Two;
                 }
                 ++prog.ops_merged_;
                 continue;
@@ -107,12 +123,15 @@ FusedProgram::compile(const circ::Circuit &circuit)
             e.fused.m4 = matmul(u, prev);
             e.fused.q0 = a;
             e.fused.q1 = b;
+            e.lone = FusedOp::Kind::Two;
             ++prog.ops_merged_;
             continue;
         }
         // New 2-qubit entry; absorb pending 1-qubit entries on its
         // operands (they precede it with nothing touching a/b in
         // between, so pre-multiplying their embeddings is exact).
+        Entry e;
+        e.lone = lone_kind(op.kind);
         for (int slot = 0; slot < 2; ++slot) {
             const int q = op.qubits[static_cast<std::size_t>(slot)];
             const int idx = open_at(q);
@@ -121,10 +140,10 @@ FusedProgram::compile(const circ::Circuit &circuit)
                 u = matmul(u, embed_1q_in_2q(entry_at(idx).fused.m2,
                                              slot));
                 entry_at(idx).skip = true;
+                e.lone = FusedOp::Kind::Two;
                 ++prog.ops_merged_;
             }
         }
-        Entry e;
         e.fused.kind = FusedOp::Kind::Two;
         e.fused.m4 = u;
         e.fused.q0 = a;
@@ -134,9 +153,13 @@ FusedProgram::compile(const circ::Circuit &circuit)
     }
 
     prog.ops_.reserve(stream.size());
-    for (const Entry &e : stream)
-        if (!e.skip)
-            prog.ops_.push_back(e.fused);
+    for (Entry &e : stream) {
+        if (e.skip)
+            continue;
+        if (e.fused.kind == FusedOp::Kind::Two)
+            e.fused.kind = e.lone;
+        prog.ops_.push_back(e.fused);
+    }
     ELV_METRIC_COUNT_N("fusion.ops_merged", prog.ops_merged_);
     return prog;
 }
@@ -145,24 +168,32 @@ void
 FusedProgram::run(StateVector &psi, const std::vector<double> &params,
                   const std::vector<double> &x) const
 {
-    ELV_REQUIRE(psi.num_qubits() == num_qubits_,
-                "program/state qubit count mismatch");
-    ELV_TRACE_SCOPE("sv.fused_run", "sim");
-    ELV_METRIC_COUNT("sim.sv.fused_runs");
-    note_kernel_dispatch();
-    psi.reset();
-    for (const FusedOp &f : ops_) {
-        switch (f.kind) {
-          case FusedOp::Kind::One:
-            psi.apply_1q(f.m2, f.q0);
-            break;
-          case FusedOp::Kind::Two:
-            psi.apply_2q(f.m4, f.q0, f.q1);
-            break;
-          case FusedOp::Kind::Barrier:
-            psi.apply_op(f.op, params, x);
-            break;
-        }
+    run_with(psi, [&](std::size_t, const FusedOp &f, StateVector &state) {
+        state.apply_op(f.op, params, x);
+    });
+}
+
+void
+FusedOp::apply(StateVector &psi) const
+{
+    switch (kind) {
+      case Kind::One:
+        psi.apply_1q(m2, q0);
+        break;
+      case Kind::Two:
+        psi.apply_2q(m4, q0, q1);
+        break;
+      case Kind::CX:
+        psi.apply_cx(q0, q1);
+        break;
+      case Kind::CZ:
+        psi.apply_cz(q0, q1);
+        break;
+      case Kind::SWAP:
+        psi.apply_swap(q0, q1);
+        break;
+      case Kind::Barrier:
+        ELV_REQUIRE(false, "barrier entries need their (params, x)");
     }
 }
 

@@ -5,7 +5,9 @@
  * A FusedProgram is a compiled op stream where runs of adjacent fixed
  * 1-qubit gates on the same qubit are collapsed into one Mat2, and
  * fixed 1-qubit gates adjacent to a fixed 2-qubit gate are absorbed
- * into its Mat4. Parametric gates (variational or embedding) and the
+ * into its Mat4. A CX/CZ/SWAP that absorbed nothing stays a typed
+ * entry and runs as a permutation/phase pass, not a dense Mat4.
+ * Parametric gates (variational or embedding) and the
  * amplitude-embedding pseudo-op are fusion *barriers*: their angles
  * depend on runtime (params, x) values, so they are kept as IR ops and
  * nothing fuses across them on the qubits they touch. A fused program
@@ -33,6 +35,10 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "common/logging.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "sim/kernel_obs.hpp"
 #include "sim/statevector.hpp"
 #include "sim/unitaries.hpp"
 
@@ -44,6 +50,9 @@ struct FusedOp
     enum class Kind {
         One,     ///< dense Mat2 on q0 (one or more fused fixed gates)
         Two,     ///< dense Mat4 on (q0, q1), basis |q0 q1>
+        CX,      ///< a lone CX (control q0, target q1): a permutation
+        CZ,      ///< a lone CZ on (q0, q1): a phase flip
+        SWAP,    ///< a lone SWAP of q0 and q1: a permutation
         Barrier, ///< parametric / amplitude-embedding IR op, kept as-is
     };
 
@@ -54,6 +63,14 @@ struct FusedOp
     int q1 = -1;
     /** The original IR op (Barrier entries only). */
     circ::Op op{};
+
+    /**
+     * Apply a fixed entry (any kind but Barrier) to `psi`. CX/CZ/SWAP
+     * entries run the permutation/phase kernels, which match the dense
+     * Mat4 kernel bit-for-bit on every nonzero amplitude (the matrix
+     * holds only 0 and +-1 and the dense kernel sums from zero).
+     */
+    void apply(StateVector &psi) const;
 };
 
 /** A circuit compiled through the gate-fusion pass. */
@@ -70,6 +87,31 @@ class FusedProgram
      */
     void run(StateVector &psi, const std::vector<double> &params = {},
              const std::vector<double> &x = {}) const;
+
+    /**
+     * run() with every Barrier entry `f` applied by
+     * `barrier(k, f, psi)`, k counting barriers from 0 in stream
+     * order: how a caller that
+     * built the barrier matrices ahead of time (AdjointProgram) replays
+     * the fused stream.
+     */
+    template <class Barrier>
+    void run_with(StateVector &psi, Barrier &&barrier) const
+    {
+        ELV_REQUIRE(psi.num_qubits() == num_qubits_,
+                    "program/state qubit count mismatch");
+        ELV_TRACE_SCOPE("sv.fused_run", "sim");
+        ELV_METRIC_COUNT("sim.sv.fused_runs");
+        note_kernel_dispatch();
+        psi.reset();
+        std::size_t k = 0;
+        for (const FusedOp &f : ops_) {
+            if (f.kind == FusedOp::Kind::Barrier)
+                barrier(k++, f, psi);
+            else
+                f.apply(psi);
+        }
+    }
 
     const std::vector<FusedOp> &ops() const { return ops_; }
 

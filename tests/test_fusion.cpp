@@ -174,6 +174,51 @@ TEST(Fusion, ParametricGatesAreBarriers)
     EXPECT_EQ(p.ops_merged(), 0u);
 }
 
+TEST(Fusion, LoneCxCzSwapAreTypedEntries)
+{
+    // A CX/CZ/SWAP that absorbs nothing runs as a permutation/phase
+    // entry; one that absorbs or merges a fixed gate stays a dense Mat4.
+    circ::Circuit c(4);
+    c.add_variational(circ::GateKind::RY, {0});
+    c.add_gate(circ::GateKind::CX, {0, 1}); // lone
+    c.add_gate(circ::GateKind::H, {2});
+    c.add_gate(circ::GateKind::CZ, {2, 3}); // absorbs the H
+    c.add_variational(circ::GateKind::RZ, {2});
+    c.add_variational(circ::GateKind::RZ, {3});
+    c.add_gate(circ::GateKind::SWAP, {3, 2}); // lone
+    c.add_variational(circ::GateKind::RX, {0});
+    c.add_variational(circ::GateKind::RX, {1});
+    c.add_gate(circ::GateKind::CZ, {1, 0}); // merges the X below
+    c.add_gate(circ::GateKind::X, {0});
+    c.add_variational(circ::GateKind::RY, {2});
+    c.add_gate(circ::GateKind::CX, {2, 3}); // lone
+    c.set_measured({0});
+
+    const sim::FusedProgram p = sim::FusedProgram::compile(c);
+    using K = sim::FusedOp::Kind;
+    std::vector<K> kinds;
+    for (const sim::FusedOp &f : p.ops())
+        kinds.push_back(f.kind);
+    const std::vector<K> want = {K::Barrier, K::CX, K::Two, K::Barrier,
+                                 K::Barrier, K::SWAP, K::Barrier,
+                                 K::Barrier, K::Two, K::Barrier, K::CX};
+    EXPECT_EQ(kinds, want);
+    EXPECT_EQ(p.ops()[1].q0, 0);
+    EXPECT_EQ(p.ops()[1].q1, 1);
+    EXPECT_EQ(p.ops()[5].q0, 3);
+    EXPECT_EQ(p.ops()[5].q1, 2);
+    EXPECT_EQ(p.ops()[10].q0, 2);
+    EXPECT_EQ(p.ops()[10].q1, 3);
+
+    elv::Rng rng(7);
+    const auto params =
+        random_values(static_cast<std::size_t>(c.num_params()), rng);
+    sim::StateVector plain(4), fused(4);
+    plain.run(c, params);
+    p.run(fused, params);
+    EXPECT_LE(max_amp_diff(plain, fused), 1e-12);
+}
+
 TEST(Fusion, CacheReturnsSharedProgramAndClears)
 {
     sim::FusionCache::global().clear();

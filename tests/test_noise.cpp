@@ -192,6 +192,54 @@ TEST(NoisyDensity, ProgramCacheCountsHitsAndMisses)
     EXPECT_EQ(delta("cache.noisy_program.evictions"), 0u);
 }
 
+TEST(NoisyDensity, ProgramCacheKeysOnCircuitStructure)
+{
+    obs::Registry &registry = obs::Registry::global();
+    registry.set_enabled(true);
+    const obs::MetricsSnapshot before = registry.snapshot();
+
+    const dev::Device dev = make_device("ibmq_jakarta");
+    NoisyDensitySimulator sim(dev);
+    Circuit c(dev.num_qubits());
+    c.add_gate(GateKind::H, {0});
+    c.add_variational(GateKind::RY, {1});
+    c.add_gate(GateKind::CX, {0, 1});
+    c.set_measured({0, 1});
+    // A copy is the same circuit: a hit.
+    const Circuit copy = c;
+    // Each of these differs in one keyed part: three misses.
+    Circuit measured_other = c;
+    measured_other.set_measured({1});
+    Circuit smaller(dev.num_qubits() - 1);
+    for (const auto &op : c.ops())
+        smaller.append_op(op);
+    smaller.set_measured({0, 1});
+    Circuit rebound = c;
+    rebound.add_variational(GateKind::RZ, {1});
+
+    const std::vector<double> params = {0.7, -0.3};
+    const auto first = sim.run_distribution(c, params);
+    EXPECT_EQ(sim.run_distribution(copy, params), first);
+    const std::vector<const Circuit *> others = {&measured_other, &smaller,
+                                                 &rebound};
+    for (const Circuit *other : others) {
+        // Same result as a simulator that never saw `c`.
+        const NoisyDensitySimulator fresh(dev);
+        EXPECT_EQ(sim.run_distribution(*other, params),
+                  fresh.run_distribution(*other, params));
+    }
+
+    const obs::MetricsSnapshot after = registry.snapshot();
+    registry.set_enabled(false);
+#ifndef ELV_OBS_DISABLED
+    // `sim` alone: 1 + 3 misses and 1 hit; the fresh simulators add one
+    // miss each.
+    EXPECT_EQ(counter_delta(before, after, "cache.noisy_program.hits"), 1u);
+    EXPECT_EQ(counter_delta(before, after, "cache.noisy_program.misses"),
+              7u);
+#endif
+}
+
 TEST(NoisyDensity, ProgramCacheCountsEntriesDroppedAtCapacity)
 {
     obs::Registry &registry = obs::Registry::global();

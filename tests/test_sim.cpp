@@ -2,15 +2,20 @@
  * @file
  * Tests for the simulators: gate unitarity, canonical states, observable
  * expectations, agreement of adjoint / parameter-shift / finite-difference
- * gradients, density-matrix vs state-vector consistency, Kraus map trace
- * preservation, and Clifford-replica lowering correctness.
+ * gradients, the compiled adjoint program (pinned bits, rebinding, shared
+ * use across threads), density-matrix vs state-vector consistency, Kraus
+ * map trace preservation, and Clifford-replica lowering correctness.
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
+#include <thread>
 #include <type_traits>
+#include <vector>
 
 #include "circuit/builders.hpp"
 #include "circuit/clifford_replica.hpp"
@@ -19,6 +24,7 @@
 #include "common/statistics.hpp"
 #include "sim/cpu_features.hpp"
 #include "sim/density_matrix.hpp"
+#include "sim/fusion.hpp"
 #include "sim/gradients.hpp"
 #include "sim/observable.hpp"
 #include "sim/statevector.hpp"
@@ -294,6 +300,300 @@ TEST(Gradients, ParameterShiftCountsExecutions)
 
     const auto adj = adjoint_gradient(c, {0.1, 0.2}, {}, obs);
     EXPECT_EQ(adj.circuit_executions, 1u);
+}
+
+/** Which embedding stage pinned_adjoint_circuit() opens with. */
+enum class PinnedVariant {
+    Angle,   ///< RY/RZ/RY/RX single-feature angle embeddings
+    Product, ///< as Angle, with an RZ product embedding on qubit 3
+    AmpFirst ///< an amplitude embedding, no angle embeddings
+};
+
+/**
+ * Four qubits covering every step kind of the adjoint sweep: RX/RY/RZ/
+ * U3/CRY variational gates (CRY in both operand orders), the embedding
+ * stage of `variant`, fixed 1-qubit gates absorbed into CX/CZ/SWAP
+ * entries or merged into one afterwards, and lone CX/CZ/SWAP entries.
+ */
+Circuit
+pinned_adjoint_circuit(PinnedVariant variant)
+{
+    Circuit c(4);
+    if (variant == PinnedVariant::AmpFirst)
+        c.add_amplitude_embedding();
+    c.add_gate(GateKind::H, {0});
+    c.add_gate(GateKind::H, {1});
+    c.add_gate(GateKind::S, {2});
+    if (variant != PinnedVariant::AmpFirst) {
+        c.add_embedding(GateKind::RY, {0}, 0);
+        c.add_embedding(GateKind::RZ, {1}, 1);
+        c.add_embedding(GateKind::RY, {2}, 2);
+        if (variant == PinnedVariant::Product)
+            c.add_embedding(GateKind::RZ, {3}, 0, 3);
+        else
+            c.add_embedding(GateKind::RX, {3}, 3);
+    }
+    c.add_variational(GateKind::RX, {0});
+    c.add_variational(GateKind::RY, {1});
+    c.add_variational(GateKind::RZ, {2});
+    c.add_variational(GateKind::U3, {3});
+    c.add_gate(GateKind::H, {0});
+    c.add_gate(GateKind::CX, {0, 1}); // absorbs the H
+    c.add_gate(GateKind::CZ, {2, 3}); // later absorbs the X
+    c.add_gate(GateKind::SWAP, {1, 2}); // lone
+    c.add_variational(GateKind::CRY, {0, 1});
+    c.add_variational(GateKind::RZ, {1});
+    c.add_gate(GateKind::X, {3});
+    c.add_gate(GateKind::CX, {3, 0}); // lone
+    c.add_variational(GateKind::RY, {2});
+    c.add_gate(GateKind::CZ, {1, 2});
+    c.add_variational(GateKind::U3, {0});
+    c.add_variational(GateKind::RX, {3});
+    c.add_gate(GateKind::SWAP, {0, 3}); // later absorbs the Y
+    c.add_gate(GateKind::Sdg, {1});
+    c.add_gate(GateKind::CZ, {1, 2}); // merges into the first CZ(1,2)
+    c.add_variational(GateKind::CRY, {2, 1});
+    c.add_gate(GateKind::Y, {0});
+    c.add_gate(GateKind::CX, {2, 3}); // lone
+    c.add_gate(GateKind::CZ, {0, 1}); // lone
+    c.set_measured({0, 1});
+    return c;
+}
+
+std::vector<double>
+pinned_params(const Circuit &c)
+{
+    std::vector<double> p(static_cast<std::size_t>(c.num_params()));
+    for (std::size_t i = 0; i < p.size(); ++i)
+        p[i] = 2.9 * std::sin(1.3 * static_cast<double>(i) + 0.2);
+    return p;
+}
+
+const std::vector<double> kPinnedSample = {0.41, -0.77, 1.23, 0.05};
+
+/** Two class projectors and a Z on an unmeasured qubit. */
+std::vector<DiagonalObservable>
+pinned_observables(const Circuit &c)
+{
+    auto obs = class_projectors(c.measured(), 2);
+    obs.push_back(DiagonalObservable::pauli_z(2));
+    return obs;
+}
+
+/** Values, then Jacobian rows, then embedding-Jacobian rows. */
+std::vector<double>
+flatten(const GradientResult &g)
+{
+    std::vector<double> flat = g.values;
+    for (const auto &row : g.jacobian)
+        flat.insert(flat.end(), row.begin(), row.end());
+    for (const auto &row : g.embedding_jacobian)
+        flat.insert(flat.end(), row.begin(), row.end());
+    return flat;
+}
+
+void
+expect_same_bits(const std::vector<double> &got,
+                 const std::vector<double> &want, const std::string &where)
+{
+    ASSERT_EQ(got.size(), want.size()) << where;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          got.size() * sizeof(double)),
+              0)
+        << where;
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                  std::bit_cast<std::uint64_t>(want[i]))
+            << where << " entry " << i;
+}
+
+TEST(AdjointProgram, PinnedToParentCommit)
+{
+    // Bit patterns recorded from the per-op sweep that rebuilt every
+    // gate matrix per sample, applied CX/CZ/SWAP daggers and fused
+    // lone CX/CZ/SWAP entries as dense Mat4s, and formed each
+    // derivative overlap in a copied state. The compiled, bound sweep
+    // must not move a single bit.
+    struct Pinned
+    {
+        PinnedVariant variant;
+        bool embedding_grads;
+        std::vector<std::uint64_t> bits;
+    };
+    const Pinned pinned[] = {
+        {PinnedVariant::Angle, true, {
+            0x3fc4f5b82c29044dULL, 0x3feac291f4f5bef7ULL, 0xbfc56ebf653c38b8ULL,
+            0xbf7ab412abc189baULL, 0xbf566d006f53ed16ULL, 0x3f7b7133f7526ff0ULL,
+            0x3fd61efaed167215ULL, 0x3f76801afd9b93e4ULL, 0x3f78b3cac30d52acULL,
+            0x3f659c3b8bd4aa24ULL, 0xbc60000000000000ULL, 0x0000000000000000ULL,
+            0x3c50000000000000ULL, 0x3c72800000000000ULL, 0x3c40000000000000ULL,
+            0xbfb2134c7824558fULL, 0x0000000000000000ULL, 0x3f7ab412abc189a8ULL,
+            0x3f566d006f53ec70ULL, 0xbf7b7133f7526f82ULL, 0xbfd61efaed167212ULL,
+            0xbf76801afd9b9418ULL, 0xbf78b3cac30d52abULL, 0xbf659c3b8bd4aa18ULL,
+            0xbc77800000000000ULL, 0xbc93200000000000ULL, 0x3c77000000000000ULL,
+            0xbca5100000000000ULL, 0x3c40000000000000ULL, 0x3fb2134c7824558eULL,
+            0xbc70000000000000ULL, 0xbc88218000000000ULL, 0xbfe4c9765837d6cdULL,
+            0xbc70200000000000ULL, 0x3c7c000000000000ULL, 0xbc70000000000000ULL,
+            0x3c28000000000000ULL, 0x3c28000000000000ULL, 0x3c6b000000000000ULL,
+            0xbfe639b405841385ULL, 0x3c78000000000000ULL, 0x3c94400000000000ULL,
+            0xbc50000000000000ULL, 0x3c70000000000000ULL, 0x3c74000000000000ULL,
+            0xbf89613f91c8ce7dULL, 0xbf7564818f48f42dULL, 0x3f4595490a6fe820ULL,
+            0x3fd4c0a58147b5bfULL, 0x3f89613f91c8ce31ULL, 0x3f7564818f48f3fdULL,
+            0xbf4595490a6fea80ULL, 0xbfd4c0a58147b5beULL, 0xbfb01f82f883a168ULL,
+            0xbfc4c8534df98308ULL, 0xbc98000000000000ULL, 0x3c7e800000000000ULL,
+        }},
+        {PinnedVariant::Product, false, {
+            0x3fc2f07232cd015fULL, 0x3feb43e3734cbfb0ULL, 0xbfc56ebf653c38b6ULL,
+            0xbf7a845264f7047dULL, 0xbf55fee4fca7af79ULL, 0x3f7b2235e1138553ULL,
+            0x3fd51bdae476fa85ULL, 0x3f74ed7d2ead468cULL, 0x3c5a9e43ad7d83fcULL,
+            0x3f641717647d7edcULL, 0x3c59000000000000ULL, 0x3c58000000000000ULL,
+            0xbc60000000000000ULL, 0x3c64000000000000ULL, 0xbc58000000000000ULL,
+            0xbfb34866b3fb5bbcULL, 0x3c40000000000000ULL, 0x3f7a845264f704a1ULL,
+            0x3f55fee4fca7ae91ULL, 0xbf7b2235e113856fULL, 0xbfd51bdae476fa86ULL,
+            0xbf74ed7d2ead46d0ULL, 0xbc5a9e43ad7d83f8ULL, 0xbf641717647d7ec6ULL,
+            0xbc7c400000000000ULL, 0x3c73200000000000ULL, 0xbc40000000000000ULL,
+            0xbc8bc00000000000ULL, 0x3c77000000000000ULL, 0x3fb34866b3fb5bbcULL,
+            0xbc88000000000000ULL, 0xbc78000000000000ULL, 0xbfe4c9765837d6caULL,
+            0x3c80000000000001ULL, 0x3c86000000000000ULL, 0xbc91000000000000ULL,
+            0x0000000000000000ULL, 0xbc54000000000000ULL, 0xbc6f000000000000ULL,
+            0xbfe639b405841384ULL, 0x3c40000000000000ULL, 0x3c87e00000000000ULL,
+            0xbc6c000000000000ULL, 0xbc78000000000000ULL, 0x3c87000000000000ULL,
+        }},
+        {PinnedVariant::AmpFirst, false, {
+            0x3fc37d3f1d369bc0ULL, 0x3feb20b038b25914ULL, 0x3fda95175105269aULL,
+            0x3f44fd6af48044f5ULL, 0xbf7d22a28f73662eULL, 0xbc67975e54a9c8adULL,
+            0x3fd564a9a6cc436aULL, 0xbf499bbbad1cbb1aULL, 0x3c8f2ac72b9ebdb9ULL,
+            0x3f6d76634cbff879ULL, 0xbc53166361ba5120ULL, 0x3c2c7c514d897f86ULL,
+            0xbc76000000000000ULL, 0x3c58000000000000ULL, 0xbc4995a9543b5454ULL,
+            0xbfb74fcf16e22fbbULL, 0xbc30000000000000ULL, 0xbf44fd6af4804565ULL,
+            0x3f7d22a28f7366beULL, 0x3c9212ebca953914ULL, 0xbfd564a9a6cc436aULL,
+            0x3f499bbbad1cb9d6ULL, 0xbc8f2ac72b9ebdbbULL, 0xbf6d76634cbff86cULL,
+            0xbc8c7d3393c8b5dcULL, 0x3c9bd3075d64ed01ULL, 0xbc84000000000000ULL,
+            0xbc7c000000000000ULL, 0xbc774d4ad5789576ULL, 0x3fb74fcf16e22fbdULL,
+            0x0000000000000000ULL, 0xbc90000000000000ULL, 0x3fe664a72d74dc9bULL,
+            0xbc7fffffffffffffULL, 0xbca0000000000000ULL, 0x392c7ffffffffff7ULL,
+            0xb91d5ab34513d896ULL, 0xbc58000000000000ULL, 0xbc68fc0000000000ULL,
+            0x3fd0de8d7d5ce758ULL, 0x3c8b000000000000ULL, 0xbc79200000000000ULL,
+            0x3c7c800000000000ULL, 0x3c74000000000000ULL, 0x3c30000000000000ULL,
+        }},
+    };
+    for (const Pinned &pin : pinned) {
+        const Circuit c = pinned_adjoint_circuit(pin.variant);
+        const GradientResult g =
+            adjoint_gradient(c, pinned_params(c), kPinnedSample,
+                             pinned_observables(c), pin.embedding_grads);
+        std::vector<double> want(pin.bits.size());
+        std::memcpy(want.data(), pin.bits.data(),
+                    want.size() * sizeof(double));
+        expect_same_bits(flatten(g), want,
+                         "variant " +
+                             std::to_string(static_cast<int>(pin.variant)));
+    }
+}
+
+TEST(AdjointProgram, RebindMatchesFreshCompile)
+{
+    for (const PinnedVariant variant :
+         {PinnedVariant::Angle, PinnedVariant::Product,
+          PinnedVariant::AmpFirst}) {
+        const Circuit c = pinned_adjoint_circuit(variant);
+        const FusedProgram program = FusedProgram::compile(c);
+        const auto obs = pinned_observables(c);
+        const std::vector<double> a = pinned_params(c);
+        std::vector<double> b = a;
+        for (double &p : b)
+            p = 0.5 - 0.7 * p;
+        const bool emb = variant == PinnedVariant::Angle;
+
+        AdjointProgram reused = AdjointProgram::compile(c, program);
+        reused.bind(a);
+        const auto at_a = flatten(reused.run(kPinnedSample, obs, emb));
+        reused.bind(b);
+        const auto rebound = flatten(reused.run(kPinnedSample, obs, emb));
+
+        AdjointProgram fresh = AdjointProgram::compile(c, program);
+        fresh.bind(b);
+        const std::string where =
+            "variant " + std::to_string(static_cast<int>(variant));
+        expect_same_bits(rebound,
+                         flatten(fresh.run(kPinnedSample, obs, emb)),
+                         where);
+        // The wrapper is the same compile + bind + run.
+        expect_same_bits(at_a,
+                         flatten(adjoint_gradient(c, program, a,
+                                                  kPinnedSample, obs, emb)),
+                         where);
+    }
+}
+
+TEST(AdjointProgram, SharedBoundProgramAcrossThreads)
+{
+    const Circuit c = pinned_adjoint_circuit(PinnedVariant::Angle);
+    AdjointProgram adjoint =
+        AdjointProgram::compile(c, FusedProgram::compile(c));
+    adjoint.bind(pinned_params(c));
+    const auto obs = pinned_observables(c);
+
+    constexpr int kSamples = 16;
+    auto sample = [](int k) {
+        std::vector<double> x = kPinnedSample;
+        for (double &v : x)
+            v += 0.1 * k;
+        return x;
+    };
+    std::vector<std::vector<double>> serial;
+    for (int k = 0; k < kSamples; ++k)
+        serial.push_back(flatten(adjoint.run(sample(k), obs, true)));
+
+    constexpr int kThreads = 4;
+    std::vector<std::vector<std::vector<double>>> got(kThreads);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t)
+        workers.emplace_back([&, t] {
+            // Every thread runs every sample, from a different start.
+            for (int i = 0; i < kSamples; ++i)
+                got[static_cast<std::size_t>(t)].push_back(flatten(
+                    adjoint.run(sample((i + 4 * t) % kSamples), obs, true)));
+        });
+    for (std::thread &w : workers)
+        w.join();
+    for (int t = 0; t < kThreads; ++t)
+        for (int i = 0; i < kSamples; ++i)
+            expect_same_bits(
+                got[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)],
+                serial[static_cast<std::size_t>((i + 4 * t) % kSamples)],
+                "thread " + std::to_string(t) + " step " +
+                    std::to_string(i));
+}
+
+TEST(AdjointProgram, RejectsLateAmplitudeEmbeddingAndBadEmbeddingGrads)
+{
+    Circuit late(2);
+    late.add_variational(GateKind::RY, {0});
+    late.add_amplitude_embedding();
+    EXPECT_THROW(AdjointProgram::compile(late, FusedProgram::compile(late)),
+                 std::exception);
+    EXPECT_THROW(adjoint_gradient(late, {0.3}, {0.5, 0.5},
+                                  {DiagonalObservable::pauli_z(0)}),
+                 std::exception);
+
+    const auto obs = std::vector<DiagonalObservable>{
+        DiagonalObservable::pauli_z(0)};
+    for (const PinnedVariant variant :
+         {PinnedVariant::Product, PinnedVariant::AmpFirst}) {
+        const Circuit c = pinned_adjoint_circuit(variant);
+        EXPECT_THROW(adjoint_gradient(c, pinned_params(c), kPinnedSample,
+                                      obs, true),
+                     std::exception);
+        EXPECT_NO_THROW(adjoint_gradient(c, pinned_params(c), kPinnedSample,
+                                         obs, false));
+    }
+
+    // A program with variational gates refuses to run unbound.
+    const Circuit c = pinned_adjoint_circuit(PinnedVariant::Angle);
+    const AdjointProgram unbound =
+        AdjointProgram::compile(c, FusedProgram::compile(c));
+    EXPECT_THROW(unbound.run(kPinnedSample, obs), std::exception);
 }
 
 TEST(DensityMatrix, MatchesStateVectorNoiseless)
