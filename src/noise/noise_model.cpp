@@ -177,6 +177,13 @@ NoisyDensitySimulator::noisy_distribution(const circ::Circuit &local,
                                           const std::vector<double> &x)
     const
 {
+    // The superoperator kernels skip zero weights, which is exact only
+    // on finite states (0 * inf is NaN): non-finite bindings stop here.
+    for (const std::vector<double> *values : {&params, &x})
+        for (const double v : *values)
+            if (!std::isfinite(v))
+                elv::fatal("non-finite parameter or feature value in a "
+                           "noisy density-matrix run");
     sim::DensityMatrix rho(local.num_qubits());
     if (cached)
         cached->run(rho, params, x);

@@ -66,7 +66,8 @@ class NoisyDensitySimulator
     /**
      * Run `circuit` (qubits = physical device qubits; 2-qubit gates must
      * act on coupled pairs) and return the outcome distribution over its
-     * measured qubits, including readout error.
+     * measured qubits, including readout error. A non-finite parameter
+     * or feature is a UsageError (here and in the fidelity calls).
      */
     std::vector<double> run_distribution(const circ::Circuit &circuit,
                                          const std::vector<double> &params =

@@ -130,6 +130,11 @@ class NoiseTable
  * replayed many times merges everywhere the pass structure allows; a
  * one-shot program merges only where composing costs less than the
  * applies it removes (at n = 4 that is 1-qubit runs only).
+ *
+ * The model prices every apply as dense although the kernels skip zero
+ * weights (a table noise∘CX Super2 has 32 of 256 nonzero). That is
+ * deliberate: a nonzero-aware model would merge differently, and a
+ * different fusion order changes the rounding of every noisy value.
  */
 class NoisyProgram
 {

@@ -1,6 +1,5 @@
 #include "sim/cpu_features.hpp"
 
-#include <atomic>
 #include <cstdlib>
 
 #include "common/logging.hpp"
@@ -54,12 +53,27 @@ env_override()
     return value;
 }
 
-/** Programmatic force; -1 = none. Relaxed: tier switches are whole-
- *  process test/bench phases, never racing a kernel for correctness
- *  (every tier computes identical results anyway). */
-std::atomic<int> forced{-1};
+/** The tier without a programmatic force. */
+int
+unforced_tier()
+{
+    const int env = env_override();
+    return env >= 0 ? env : static_cast<int>(best_supported_tier());
+}
 
 } // namespace
+
+int
+detail::resolve_tier()
+{
+    int expected = -1;
+    const int tier = unforced_tier();
+    // A concurrent set_forced_tier wins: keep what it stored.
+    if (effective_tier.compare_exchange_strong(expected, tier,
+                                               std::memory_order_relaxed))
+        return tier;
+    return expected;
+}
 
 const char *
 kernel_tier_name(KernelTier tier)
@@ -91,22 +105,10 @@ best_supported_tier()
     return best;
 }
 
-KernelTier
-active_tier()
-{
-    const int f = forced.load(std::memory_order_relaxed);
-    if (f >= 0)
-        return static_cast<KernelTier>(f);
-    const int env = env_override();
-    if (env >= 0)
-        return static_cast<KernelTier>(env);
-    return best_supported_tier();
-}
-
 void
 set_forced_tier(KernelTier tier)
 {
-    forced.store(
+    detail::effective_tier.store(
         static_cast<int>(clamp_to_supported(tier, "set_forced_tier")),
         std::memory_order_relaxed);
 }
@@ -114,7 +116,7 @@ set_forced_tier(KernelTier tier)
 void
 clear_forced_tier()
 {
-    forced.store(-1, std::memory_order_relaxed);
+    detail::effective_tier.store(unforced_tier(), std::memory_order_relaxed);
 }
 
 } // namespace elv::sim

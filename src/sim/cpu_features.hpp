@@ -21,6 +21,7 @@
  */
 #pragma once
 
+#include <atomic>
 #include <optional>
 #include <string>
 
@@ -42,12 +43,31 @@ std::optional<KernelTier> kernel_tier_from_name(const std::string &name);
 /** Best tier this CPU supports (CPUID, detected once). */
 KernelTier best_supported_tier();
 
+namespace detail {
+
+/** The effective tier as an int, -1 until first resolved. Relaxed:
+ *  tier switches are whole-process test/bench phases, never racing a
+ *  kernel for correctness (every tier computes identical results). */
+inline constinit std::atomic<int> effective_tier{-1};
+
+/** Resolve the unforced tier (ELV_FORCE_KERNEL, else CPUID) into
+ *  effective_tier unless a force got there first; returns the tier. */
+int resolve_tier();
+
+} // namespace detail
+
 /**
  * The tier the kernels dispatch on: a programmatic force if set, else
  * the ELV_FORCE_KERNEL override if present, else best_supported_tier().
- * Unsupported requests are clamped with a warning.
+ * Unsupported requests are clamped with a warning. Resolved once and
+ * kept in one atomic, so every kernel dispatch pays one relaxed load.
  */
-KernelTier active_tier();
+inline KernelTier
+active_tier()
+{
+    const int tier = detail::effective_tier.load(std::memory_order_relaxed);
+    return static_cast<KernelTier>(tier >= 0 ? tier : detail::resolve_tier());
+}
 
 /** Force a tier process-wide (clamped to best_supported_tier()). */
 void set_forced_tier(KernelTier tier);

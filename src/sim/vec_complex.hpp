@@ -4,8 +4,8 @@
  *
  * Every kernel ships in up to three tiers — scalar baseline, AVX2
  * (256-bit), AVX-512F (512-bit) — selected at run time through
- * cpu_features.hpp. The baseline tier is the exact loop the simulator
- * has always run; the vector tiers parallelize *across amplitude
+ * cpu_features.hpp. The scalar baseline defines the reference
+ * arithmetic; the vector tiers parallelize *across amplitude
  * indices* (each SIMD lane is a distinct amplitude) and replicate the
  * per-amplitude arithmetic operation-for-operation:
  *
@@ -15,6 +15,25 @@
  *    code GCC emits for std::complex on finite values;
  *  - matvec accumulators start from zero and sum in column order,
  *    exactly like the scalar `acc += u[r][c] * in[c]` loop.
+ *
+ * The gathered matvecs (apply_2q, apply_4q) skip zero weights. At
+ * dispatch the matrix is compressed row by row (SparseRows): term k of
+ * row r is the row's k-th nonzero weight in ascending column order,
+ * and rows with fewer nonzeros than the longest row are padded with
+ * zero weights. The matvec walks term k of every row before term k+1,
+ * so the rows' accumulations are independent chains the CPU overlaps,
+ * and each row still sums its nonzeros in column order. A dense matrix
+ * is the unpadded n-term form. Skipping is exact: a weight counts as
+ * zero only when both parts are +0 or -0, its product with a finite
+ * amplitude is then a signed zero, and an accumulator that starts at
+ * +0 never becomes -0 under round-to-nearest, so adding that product
+ * (skipped or padded, anywhere in the chain) leaves its bits
+ * unchanged. The noise∘gate superoperators of the density-matrix path
+ * are mostly zeros (a 16x16 noise∘CX has 32 nonzero weights), so their
+ * passes do a fraction of the dense work. The one input that breaks
+ * the argument is a non-finite amplitude (0 * inf is NaN, which a skip
+ * drops): states must be finite, which is checked where parameters and
+ * features enter a simulator, never in the kernels.
  *
  * Consequence: all tiers produce BIT-IDENTICAL amplitudes on finite
  * states (the tier-equivalence tests assert this with memcmp), so
@@ -38,6 +57,7 @@
 #include <array>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 
 #include "sim/cpu_features.hpp"
 
@@ -57,10 +77,63 @@ insert_zero_bit(std::size_t v, std::size_t mask)
     return ((v & ~(mask - 1)) << 1) | (v & (mask - 1));
 }
 
+/**
+ * A row-major N x N matrix with its zero weights dropped: term k of row
+ * r is (col[k*N + r], w[k*N + r]), the row's k-th nonzero weight in
+ * ascending column order, for k < width (the most nonzeros in any
+ * row); shorter rows are padded with zero weights on column 0.
+ */
+template <std::size_t N>
+struct SparseRows
+{
+    std::size_t width = 0;
+    std::uint8_t col[N * N];
+    std::complex<double> w[N * N];
+
+    /** Compress `u`. A weight is zero only when both parts are +/-0;
+     *  NaN weights count as nonzero. */
+    explicit SparseRows(const std::complex<double> *u)
+    {
+        std::size_t count[N];
+        for (std::size_t r = 0; r < N; ++r) {
+            std::size_t k = 0;
+            for (std::size_t c = 0; c < N; ++c) {
+                const std::complex<double> v = u[r * N + c];
+                if (v.real() != 0.0 || v.imag() != 0.0) {
+                    col[k * N + r] = static_cast<std::uint8_t>(c);
+                    w[k * N + r] = v;
+                    ++k;
+                }
+            }
+            count[r] = k;
+            width = k > width ? k : width;
+        }
+        for (std::size_t r = 0; r < N; ++r)
+            for (std::size_t k = count[r]; k < width; ++k) {
+                col[k * N + r] = 0;
+                w[k * N + r] = 0.0;
+            }
+    }
+};
+
 // ---------------------------------------------------------------------
-// Scalar baseline: the simulator's original loops, verbatim. These
-// define the reference arithmetic every vector tier must reproduce
-// bit-for-bit.
+// Scalar baseline: the simulator's original loops, with the gathered
+// matvecs skipping zero weights. These define the reference arithmetic
+// every vector tier must reproduce bit-for-bit.
+
+/** out[r] = the terms of row r of `s` times in[col], accumulated from
+ *  zero in term order. */
+template <std::size_t N>
+inline void
+sparse_matvec(const SparseRows<N> &s, const std::complex<double> *in,
+              std::complex<double> *out)
+{
+    for (std::size_t r = 0; r < N; ++r)
+        out[r] = 0.0;
+    for (std::size_t k = 0; k < s.width; ++k)
+        for (std::size_t r = 0; r < N; ++r)
+            out[r] += s.w[k * N + r] * in[s.col[k * N + r]];
+}
 
 inline void
 scalar_1q(std::complex<double> *amps, std::size_t dim, std::size_t stride,
@@ -97,43 +170,37 @@ scalar_diag_1q(std::complex<double> *amps, std::size_t stride,
 
 inline void
 scalar_2q(std::complex<double> *amps, std::size_t m0, std::size_t m1,
-          std::size_t lo, std::size_t hi, const std::complex<double> *u,
+          std::size_t lo, std::size_t hi, const SparseRows<4> &s,
           std::size_t g_begin, std::size_t g_end)
 {
     for (std::size_t g = g_begin; g < g_end; ++g) {
         const std::size_t i = insert_zero_bit(insert_zero_bit(g, lo), hi);
         // Local basis |q0 q1>: index = 2 * bit(q0) + bit(q1).
         const std::size_t idx[4] = {i, i | m1, i | m0, i | m0 | m1};
-        std::complex<double> in[4];
+        std::complex<double> in[4], out[4];
         for (std::size_t k = 0; k < 4; ++k)
             in[k] = amps[idx[k]];
-        for (std::size_t r = 0; r < 4; ++r) {
-            std::complex<double> acc(0);
-            for (std::size_t c = 0; c < 4; ++c)
-                acc += u[4 * r + c] * in[c];
-            amps[idx[r]] = acc;
-        }
+        sparse_matvec(s, in, out);
+        for (std::size_t r = 0; r < 4; ++r)
+            amps[idx[r]] = out[r];
     }
 }
 
 inline void
 scalar_4q(std::complex<double> *amps, const std::size_t *sorted,
-          const std::size_t *offset, const std::complex<double> *u,
+          const std::size_t *offset, const SparseRows<16> &s,
           std::size_t g_begin, std::size_t g_end)
 {
     for (std::size_t g = g_begin; g < g_end; ++g) {
         std::size_t i = g;
         for (int a = 0; a < 4; ++a)
             i = insert_zero_bit(i, sorted[a]);
-        std::complex<double> in[16];
+        std::complex<double> in[16], out[16];
         for (std::size_t k = 0; k < 16; ++k)
             in[k] = amps[i | offset[k]];
-        for (std::size_t r = 0; r < 16; ++r) {
-            std::complex<double> acc(0);
-            for (std::size_t c = 0; c < 16; ++c)
-                acc += u[16 * r + c] * in[c];
-            amps[i | offset[r]] = acc;
-        }
+        sparse_matvec(s, in, out);
+        for (std::size_t r = 0; r < 16; ++r)
+            amps[i | offset[r]] = out[r];
     }
 }
 
@@ -169,21 +236,21 @@ cmul_pd(__m256d a, __m256d wr, __m256d wi)
     return _mm256_addsub_pd(t1, t2);
 }
 
-/** out[r] = sum_c u[r*n+c] * in[c], accumulated from zero in order. */
+/** sparse_matvec on 2 lanes. */
+template <std::size_t N>
 __attribute__((target("avx2"))) inline void
-matvec_pd(const std::complex<double> *u, std::size_t n, const __m256d *in,
-          __m256d *out)
+matvec_pd(const SparseRows<N> &s, const __m256d *in, __m256d *out)
 {
-    for (std::size_t r = 0; r < n; ++r) {
-        __m256d acc = _mm256_setzero_pd();
-        for (std::size_t c = 0; c < n; ++c) {
-            const std::complex<double> w = u[r * n + c];
-            acc = _mm256_add_pd(
-                acc, cmul_pd(in[c], _mm256_set1_pd(w.real()),
-                             _mm256_set1_pd(w.imag())));
+    for (std::size_t r = 0; r < N; ++r)
+        out[r] = _mm256_setzero_pd();
+    for (std::size_t k = 0; k < s.width; ++k)
+        for (std::size_t r = 0; r < N; ++r) {
+            const std::complex<double> w = s.w[k * N + r];
+            out[r] = _mm256_add_pd(
+                out[r], cmul_pd(in[s.col[k * N + r]],
+                                _mm256_set1_pd(w.real()),
+                                _mm256_set1_pd(w.imag())));
         }
-        out[r] = acc;
-    }
 }
 
 __attribute__((target("avx2"))) inline void
@@ -274,7 +341,7 @@ avx2_diag_1q_pd(std::complex<double> *amps, std::size_t dim,
 
 __attribute__((target("avx2"))) inline void
 avx2_2q_pd(std::complex<double> *amps, std::size_t dim, std::size_t m0,
-           std::size_t m1, const std::complex<double> *u)
+           std::size_t m1, const SparseRows<4> &s)
 {
     double *raw = reinterpret_cast<double *>(amps);
     const std::size_t lo = m0 < m1 ? m0 : m1;
@@ -289,12 +356,12 @@ avx2_2q_pd(std::complex<double> *amps, std::size_t dim, std::size_t m0,
             __m256d in[4], out[4];
             for (std::size_t k = 0; k < 4; ++k)
                 in[k] = _mm256_loadu_pd(raw + 2 * idx[k]);
-            matvec_pd(u, 4, in, out);
+            matvec_pd(s, in, out);
             for (std::size_t r = 0; r < 4; ++r)
                 _mm256_storeu_pd(raw + 2 * idx[r], out[r]);
         }
         if (groups & 1)
-            scalar_2q(amps, m0, m1, lo, hi, u, groups - 1, groups);
+            scalar_2q(amps, m0, m1, lo, hi, s, groups - 1, groups);
         return;
     }
     // lo == 1: a qubit-0 operand. The two local slots split by the low
@@ -317,7 +384,7 @@ avx2_2q_pd(std::complex<double> *amps, std::size_t dim, std::size_t m0,
         in[sx] = _mm256_permute2f128_pd(a0, b0, 0x31);
         in[sy] = _mm256_permute2f128_pd(a1, b1, 0x20);
         in[3] = _mm256_permute2f128_pd(a1, b1, 0x31);
-        matvec_pd(u, 4, in, out);
+        matvec_pd(s, in, out);
         _mm256_storeu_pd(raw + 2 * ia,
                          _mm256_permute2f128_pd(out[0], out[sx], 0x20));
         _mm256_storeu_pd(raw + 2 * ib,
@@ -328,13 +395,13 @@ avx2_2q_pd(std::complex<double> *amps, std::size_t dim, std::size_t m0,
                          _mm256_permute2f128_pd(out[sy], out[3], 0x31));
     }
     if (g < groups)
-        scalar_2q(amps, m0, m1, lo, hi, u, g, groups);
+        scalar_2q(amps, m0, m1, lo, hi, s, g, groups);
 }
 
 __attribute__((target("avx2"))) inline void
 avx2_4q_pd(std::complex<double> *amps, std::size_t dim,
            const std::size_t *sorted, const std::size_t *offset,
-           const std::complex<double> *u)
+           const SparseRows<16> &s)
 {
     double *raw = reinterpret_cast<double *>(amps);
     const std::size_t groups = dim >> 4;
@@ -346,12 +413,12 @@ avx2_4q_pd(std::complex<double> *amps, std::size_t dim,
             __m256d in[16], out[16];
             for (std::size_t k = 0; k < 16; ++k)
                 in[k] = _mm256_loadu_pd(raw + 2 * (i | offset[k]));
-            matvec_pd(u, 16, in, out);
+            matvec_pd(s, in, out);
             for (std::size_t r = 0; r < 16; ++r)
                 _mm256_storeu_pd(raw + 2 * (i | offset[r]), out[r]);
         }
         if (groups & 1)
-            scalar_4q(amps, sorted, offset, u, groups - 1, groups);
+            scalar_4q(amps, sorted, offset, s, groups - 1, groups);
         return;
     }
     // sorted[0] == 1: pair each slot with its low-mask partner (their
@@ -376,7 +443,7 @@ avx2_4q_pd(std::complex<double> *amps, std::size_t dim,
             in[k] = _mm256_permute2f128_pd(a, b, 0x20);
             in[k | pair_bit] = _mm256_permute2f128_pd(a, b, 0x31);
         }
-        matvec_pd(u, 16, in, out);
+        matvec_pd(s, in, out);
         for (std::size_t k = 0; k < 16; ++k) {
             if (k & pair_bit)
                 continue;
@@ -389,7 +456,7 @@ avx2_4q_pd(std::complex<double> *amps, std::size_t dim,
         }
     }
     if (g < groups)
-        scalar_4q(amps, sorted, offset, u, g, groups);
+        scalar_4q(amps, sorted, offset, s, g, groups);
 }
 
 // ---------------------------------------------------------------------
@@ -416,21 +483,22 @@ negreal512()
     return _mm512_set_pd(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0);
 }
 
+/** sparse_matvec on 4 lanes. */
+template <std::size_t N>
 __attribute__((target("avx512f"))) inline void
-matvec512_pd(const std::complex<double> *u, std::size_t n,
-             const __m512d *in, __m512d *out)
+matvec512_pd(const SparseRows<N> &s, const __m512d *in, __m512d *out)
 {
     const __m512d nr = negreal512();
-    for (std::size_t r = 0; r < n; ++r) {
-        __m512d acc = _mm512_setzero_pd();
-        for (std::size_t c = 0; c < n; ++c) {
-            const std::complex<double> w = u[r * n + c];
-            acc = _mm512_add_pd(
-                acc, cmul512_pd(in[c], _mm512_set1_pd(w.real()),
-                                _mm512_set1_pd(w.imag()), nr));
+    for (std::size_t r = 0; r < N; ++r)
+        out[r] = _mm512_setzero_pd();
+    for (std::size_t k = 0; k < s.width; ++k)
+        for (std::size_t r = 0; r < N; ++r) {
+            const std::complex<double> w = s.w[k * N + r];
+            out[r] = _mm512_add_pd(
+                out[r], cmul512_pd(in[s.col[k * N + r]],
+                                   _mm512_set1_pd(w.real()),
+                                   _mm512_set1_pd(w.imag()), nr));
         }
-        out[r] = acc;
-    }
 }
 
 __attribute__((target("avx512f"))) inline void
@@ -488,7 +556,7 @@ avx512_diag_1q_pd(std::complex<double> *amps, std::size_t dim,
 
 __attribute__((target("avx512f"))) inline void
 avx512_2q_pd(std::complex<double> *amps, std::size_t dim, std::size_t m0,
-             std::size_t m1, const std::complex<double> *u)
+             std::size_t m1, const SparseRows<4> &s)
 {
     double *raw = reinterpret_cast<double *>(amps);
     const std::size_t lo = m0 < m1 ? m0 : m1;
@@ -501,19 +569,19 @@ avx512_2q_pd(std::complex<double> *amps, std::size_t dim, std::size_t m0,
         __m512d in[4], out[4];
         for (std::size_t k = 0; k < 4; ++k)
             in[k] = _mm512_loadu_pd(raw + 2 * idx[k]);
-        matvec512_pd(u, 4, in, out);
+        matvec512_pd(s, in, out);
         for (std::size_t r = 0; r < 4; ++r)
             _mm512_storeu_pd(raw + 2 * idx[r], out[r]);
     }
     if (groups & 3)
-        scalar_2q(amps, m0, m1, lo, hi, u, groups & ~std::size_t{3},
+        scalar_2q(amps, m0, m1, lo, hi, s, groups & ~std::size_t{3},
                   groups);
 }
 
 __attribute__((target("avx512f"))) inline void
 avx512_4q_pd(std::complex<double> *amps, std::size_t dim,
              const std::size_t *sorted, const std::size_t *offset,
-             const std::complex<double> *u)
+             const SparseRows<16> &s)
 {
     double *raw = reinterpret_cast<double *>(amps);
     const std::size_t groups = dim >> 4;
@@ -524,12 +592,12 @@ avx512_4q_pd(std::complex<double> *amps, std::size_t dim,
         __m512d in[16], out[16];
         for (std::size_t k = 0; k < 16; ++k)
             in[k] = _mm512_loadu_pd(raw + 2 * (i | offset[k]));
-        matvec512_pd(u, 16, in, out);
+        matvec512_pd(s, in, out);
         for (std::size_t r = 0; r < 16; ++r)
             _mm512_storeu_pd(raw + 2 * (i | offset[r]), out[r]);
     }
     if (groups & 3)
-        scalar_4q(amps, sorted, offset, u, groups & ~std::size_t{3},
+        scalar_4q(amps, sorted, offset, s, groups & ~std::size_t{3},
                   groups);
 }
 
@@ -585,18 +653,19 @@ apply_2q(std::complex<double> *amps, std::size_t dim, std::size_t m0,
 {
     const std::size_t lo = m0 < m1 ? m0 : m1;
     const std::size_t hi = m0 < m1 ? m1 : m0;
+    const SparseRows<4> s(u);
 #if ELV_VEC_X86
     const KernelTier tier = active_tier();
     if (tier == KernelTier::AVX512 && lo >= 4) {
-        avx512_2q_pd(amps, dim, m0, m1, u);
+        avx512_2q_pd(amps, dim, m0, m1, s);
         return;
     }
     if (tier != KernelTier::Baseline) {
-        avx2_2q_pd(amps, dim, m0, m1, u);
+        avx2_2q_pd(amps, dim, m0, m1, s);
         return;
     }
 #endif
-    scalar_2q(amps, m0, m1, lo, hi, u, 0, dim >> 2);
+    scalar_2q(amps, m0, m1, lo, hi, s, 0, dim >> 2);
 }
 
 inline void
@@ -615,18 +684,19 @@ apply_4q(std::complex<double> *amps, std::size_t dim, std::size_t m0,
     for (std::size_t k = 0; k < 16; ++k)
         offset[k] = ((k & 8) ? m0 : 0) | ((k & 4) ? m1 : 0) |
                     ((k & 2) ? m2 : 0) | ((k & 1) ? m3 : 0);
+    const SparseRows<16> s(u);
 #if ELV_VEC_X86
     const KernelTier tier = active_tier();
     if (tier == KernelTier::AVX512 && sorted[0] >= 4) {
-        avx512_4q_pd(amps, dim, sorted, offset, u);
+        avx512_4q_pd(amps, dim, sorted, offset, s);
         return;
     }
     if (tier != KernelTier::Baseline) {
-        avx2_4q_pd(amps, dim, sorted, offset, u);
+        avx2_4q_pd(amps, dim, sorted, offset, s);
         return;
     }
 #endif
-    scalar_4q(amps, sorted, offset, u, 0, dim >> 4);
+    scalar_4q(amps, sorted, offset, s, 0, dim >> 4);
 }
 
 } // namespace elv::sim::vec

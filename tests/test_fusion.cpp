@@ -12,8 +12,10 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -26,6 +28,7 @@
 #include "noise/superop.hpp"
 #include "qml/synthetic.hpp"
 #include "qml/trainer.hpp"
+#include "sim/cpu_features.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/fusion.hpp"
 #include "sim/statevector.hpp"
@@ -320,6 +323,184 @@ TEST(Superop, KrausScratchReusePreservesResults)
     ref.apply_superop_1q(noise::kraus_superop_1q(depol), 2);
     EXPECT_LE(max_element_diff(seq, ref), 1e-14);
     EXPECT_NEAR(seq.trace(), 1.0, 1e-12);
+}
+
+/** A signed zero picked at random: +0 or -0. */
+double
+signed_zero(elv::Rng &rng)
+{
+    return rng.uniform_index(2) ? -0.0 : 0.0;
+}
+
+/**
+ * A random N x N superoperator with a zero pattern:
+ *  0 dense, 1 diagonal only, 2 one nonzero, 3 sparse with all-zero
+ *  rows, 4 all zero, 5 half zeros.
+ * Zero weights mix +0 and -0 in both parts; some nonzero weights have
+ * one zero part, which must not be skipped.
+ */
+template <typename Mat>
+Mat
+patterned_superop(int pattern, elv::Rng &rng)
+{
+    const std::size_t n = std::tuple_size<Mat>::value;
+    const std::size_t single_r = rng.uniform_index(n);
+    const std::size_t single_c = rng.uniform_index(n);
+    Mat m;
+    for (std::size_t r = 0; r < n; ++r) {
+        const bool zero_row = pattern == 3 && rng.uniform_index(4) == 0;
+        for (std::size_t c = 0; c < n; ++c) {
+            bool nonzero = true;
+            switch (pattern) {
+              case 1: nonzero = r == c; break;
+              case 2: nonzero = r == single_r && c == single_c; break;
+              case 3: nonzero = !zero_row && rng.uniform(0.0, 1.0) < 0.15;
+                      break;
+              case 4: nonzero = false; break;
+              case 5: nonzero = rng.uniform_index(2) == 0; break;
+              default: break;
+            }
+            double re = signed_zero(rng), im = signed_zero(rng);
+            if (nonzero) {
+                switch (rng.uniform_index(4)) {
+                  case 0: re = rng.uniform(-1.0, 1.0); break;
+                  case 1: im = rng.uniform(-1.0, 1.0); break;
+                  default:
+                    re = rng.uniform(-1.0, 1.0);
+                    im = rng.uniform(-1.0, 1.0);
+                }
+            }
+            m[r][c] = sim::Amp(re, im);
+        }
+    }
+    return m;
+}
+
+/** A generic (non-physical) n-qubit rho with exact and signed zeros. */
+sim::DensityMatrix
+generic_state(int n, elv::Rng &rng)
+{
+    sim::StateVector psi(n);
+    psi.apply_1q(sim::gate_matrix_1q(circ::GateKind::H, {}), 0);
+    sim::DensityMatrix rho(n);
+    rho.set_pure(psi);
+    // Dense random superops spread weight over every entry.
+    for (int q = 0; q < n; ++q)
+        rho.apply_superop_1q(patterned_superop<sim::Mat4>(0, rng), q);
+    if (n >= 2)
+        rho.apply_superop_2q(patterned_superop<sim::Mat16>(5, rng), 0,
+                             n - 1);
+    return rho;
+}
+
+/** rho as its vectorized amplitudes (index r | c << n). */
+std::vector<sim::Amp>
+vectorized(const sim::DensityMatrix &rho)
+{
+    const int n = rho.num_qubits();
+    const std::size_t dim = std::size_t{1} << n;
+    std::vector<sim::Amp> v(dim * dim);
+    for (std::size_t r = 0; r < dim; ++r)
+        for (std::size_t c = 0; c < dim; ++c)
+            v[r | (c << n)] = rho.element(r, c);
+    return v;
+}
+
+/** Dense superoperator pass over every one of the k columns, from
+ *  zero in column order; `offset[j]` is local basis state j's index
+ *  bits (the gathered kernels' operand convention). */
+template <typename Mat>
+void
+dense_superop_pass(std::vector<sim::Amp> &v, const Mat &s,
+                   const std::vector<std::size_t> &offset)
+{
+    const std::size_t k = offset.size();
+    const std::size_t all = offset.back();
+    std::vector<sim::Amp> in(k);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        if (i & all)
+            continue;
+        for (std::size_t c = 0; c < k; ++c)
+            in[c] = v[i | offset[c]];
+        for (std::size_t r = 0; r < k; ++r) {
+            sim::Amp acc(0);
+            for (std::size_t c = 0; c < k; ++c)
+                acc += s[r][c] * in[c];
+            v[i | offset[r]] = acc;
+        }
+    }
+}
+
+TEST(Superop, SparseSkipMatchesDenseBits)
+{
+    struct TierGuard
+    {
+        ~TierGuard() { sim::clear_forced_tier(); }
+    } guard;
+    const int best = static_cast<int>(sim::best_supported_tier());
+    elv::Rng rng(61);
+    for (int n = 1; n <= 6; ++n) {
+        const sim::DensityMatrix start = generic_state(n, rng);
+        const std::vector<sim::Amp> v0 = vectorized(start);
+        auto check = [&](const std::vector<sim::Amp> &want,
+                         const sim::DensityMatrix &got, int tier,
+                         const std::string &what) {
+            const std::vector<sim::Amp> have = vectorized(got);
+            EXPECT_EQ(std::memcmp(want.data(), have.data(),
+                                  want.size() * sizeof(sim::Amp)),
+                      0)
+                << what << " n=" << n << " tier " << tier;
+        };
+        for (int pattern = 0; pattern <= 5; ++pattern) {
+            // 1-qubit superoperators: low mask 1 << q.
+            for (int q = 0; q < n; ++q) {
+                const sim::Mat4 s = patterned_superop<sim::Mat4>(pattern, rng);
+                const std::size_t m0 = std::size_t{1} << q;
+                const std::size_t m1 = std::size_t{1} << (q + n);
+                std::vector<sim::Amp> want = v0;
+                dense_superop_pass(want, s, {0, m1, m0, m0 | m1});
+                for (int t = 0; t <= best; ++t) {
+                    sim::set_forced_tier(static_cast<sim::KernelTier>(t));
+                    sim::DensityMatrix rho = start;
+                    rho.apply_superop_1q(s, q);
+                    check(want, rho, t,
+                          "super1 pattern " + std::to_string(pattern) +
+                              " q=" + std::to_string(q));
+                }
+            }
+            // 2-qubit superoperators on every ordered pair: low mask
+            // 1 << min(q0, q1).
+            for (int q0 = 0; q0 < n; ++q0)
+                for (int q1 = 0; q1 < n; ++q1) {
+                    if (q0 == q1)
+                        continue;
+                    const sim::Mat16 s =
+                        patterned_superop<sim::Mat16>(pattern, rng);
+                    const std::size_t m[4] = {
+                        std::size_t{1} << q0, std::size_t{1} << q1,
+                        std::size_t{1} << (q0 + n),
+                        std::size_t{1} << (q1 + n)};
+                    std::vector<std::size_t> offset(16);
+                    for (std::size_t j = 0; j < 16; ++j)
+                        offset[j] = ((j & 8) ? m[0] : 0) |
+                                    ((j & 4) ? m[1] : 0) |
+                                    ((j & 2) ? m[2] : 0) |
+                                    ((j & 1) ? m[3] : 0);
+                    std::vector<sim::Amp> want = v0;
+                    dense_superop_pass(want, s, offset);
+                    for (int t = 0; t <= best; ++t) {
+                        sim::set_forced_tier(
+                            static_cast<sim::KernelTier>(t));
+                        sim::DensityMatrix rho = start;
+                        rho.apply_superop_2q(s, q0, q1);
+                        check(want, rho, t,
+                              "super2 pattern " + std::to_string(pattern) +
+                                  " (" + std::to_string(q0) + "," +
+                                  std::to_string(q1) + ")");
+                    }
+                }
+        }
+    }
 }
 
 TEST(NoisyProgram, MatchesUnfusedChannelLoop)

@@ -10,6 +10,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <tuple>
@@ -23,6 +25,7 @@
 #include "noise/channels.hpp"
 #include "noise/noise_model.hpp"
 #include "obs/metrics.hpp"
+#include "sim/cpu_features.hpp"
 #include "sim/density_matrix.hpp"
 #include "stabilizer/tableau.hpp"
 
@@ -404,6 +407,150 @@ TEST(NoisyDensity, WorksOnLargeDeviceViaCompaction)
     const double fid = sim.fidelity(c);
     EXPECT_GT(fid, 0.5);
     EXPECT_LT(fid, 1.0);
+}
+
+/** Bit patterns of `values`, for memcmp-exact pins. */
+std::vector<std::uint64_t>
+bit_patterns(const std::vector<double> &values)
+{
+    std::vector<std::uint64_t> bits(values.size());
+    std::memcpy(bits.data(), values.data(),
+                values.size() * sizeof(double));
+    return bits;
+}
+
+/** 6 qubits of ibm_guadalupe (physical 0, 1, 2, 3, 4, 7): RX/RY/RZ
+ *  variational and angle-embedding gates over CX/CZ in both operand
+ *  orders, with local qubit 0 in 1- and 2-qubit operands. */
+Circuit
+pinned_guadalupe_circuit(const dev::Device &dev)
+{
+    Circuit c(dev.num_qubits());
+    c.add_embedding(GateKind::RX, {0}, 0);
+    c.add_embedding(GateKind::RY, {1}, 1);
+    c.add_embedding(GateKind::RZ, {2}, 2);
+    c.add_embedding(GateKind::RY, {4}, 3);
+    c.add_gate(GateKind::H, {3});
+    c.add_gate(GateKind::H, {7});
+    c.add_gate(GateKind::CX, {0, 1});
+    c.add_gate(GateKind::CZ, {2, 3});
+    c.add_gate(GateKind::CX, {7, 4});
+    c.add_variational(GateKind::RX, {0});
+    c.add_variational(GateKind::RY, {1});
+    c.add_variational(GateKind::RZ, {3});
+    c.add_variational(GateKind::RY, {7});
+    c.add_gate(GateKind::CX, {1, 2});
+    c.add_gate(GateKind::CZ, {4, 1});
+    c.add_gate(GateKind::CX, {1, 0});
+    c.add_gate(GateKind::S, {0});
+    c.add_gate(GateKind::CX, {3, 2});
+    c.add_embedding(GateKind::RX, {7}, 0);
+    c.add_variational(GateKind::RZ, {2});
+    c.add_variational(GateKind::RX, {4});
+    c.add_gate(GateKind::CZ, {0, 1});
+    c.add_gate(GateKind::CX, {4, 7});
+    c.add_variational(GateKind::RY, {0});
+    c.add_gate(GateKind::CX, {2, 1});
+    c.set_measured({0, 1, 3, 7});
+    return c;
+}
+
+/** 4 qubits of ibm_perth (physical 0, 1, 2, 3). */
+Circuit
+pinned_perth_circuit(const dev::Device &dev)
+{
+    Circuit c(dev.num_qubits());
+    c.add_embedding(GateKind::RY, {0}, 0);
+    c.add_embedding(GateKind::RX, {3}, 1);
+    c.add_gate(GateKind::H, {2});
+    c.add_gate(GateKind::CX, {1, 0});
+    c.add_gate(GateKind::CZ, {1, 3});
+    c.add_variational(GateKind::RZ, {0});
+    c.add_variational(GateKind::RX, {1});
+    c.add_gate(GateKind::CX, {2, 1});
+    c.add_variational(GateKind::RY, {2});
+    c.add_gate(GateKind::CX, {0, 1});
+    c.add_variational(GateKind::RY, {3});
+    c.set_measured({0, 1, 2});
+    return c;
+}
+
+TEST(NoisyDensity, InferencePinnedToParentCommit)
+{
+    // Bit patterns recorded before the superoperator kernels skipped
+    // zero weights: a skipped +/-0 product leaves an accumulator that
+    // started at +0 unchanged, so every distribution and fidelity must
+    // stay bit-identical on every kernel tier.
+    const std::vector<std::uint64_t> want_guadalupe = {
+        0x3fc50aa6491b6b8cull, 0x3fb492f81a286090ull,
+        0x3f8d296e6a85d312ull, 0x3f80390cf3dcd040ull,
+        0x3f8c0112d9099e05ull, 0x3f7fa0e509a56683ull,
+        0x3fc4d25a652da55cull, 0x3fb456157dbbad46ull,
+        0x3fb44791f6816a79ull, 0x3fc1b5c24e832fbdull,
+        0x3f7cde45437ad56aull, 0x3f87e9bb1f15577bull,
+        0x3f7c9dfdd82a5d46ull, 0x3f8816faabcc7bb8ull,
+        0x3fb403528b9a9cc9ull, 0x3fc1741674e47e87ull
+    };
+    const std::vector<std::uint64_t> want_perth = {
+        0x3fd39273a50fdd61ull, 0x3f96090ae7162198ull,
+        0x3fc1f01abce9b4bdull, 0x3fa136fbc179105dull,
+        0x3fc22c41644703a7ull, 0x3fa12f33b118c9daull,
+        0x3fd35470deca7c9eull, 0x3f95d96cec9ac6c5ull
+    };
+    const std::vector<std::uint64_t> want_replica = {
+        0x3fed6e7fc4a0c355ull
+    };
+
+    const dev::Device guadalupe = make_device("ibm_guadalupe");
+    const dev::Device perth = make_device("ibm_perth");
+    const Circuit c6 = pinned_guadalupe_circuit(guadalupe);
+    const Circuit c4 = pinned_perth_circuit(perth);
+    Rng rng(29);
+    const Circuit replica = make_clifford_replica(c6, rng);
+    const std::vector<double> params6 = {0.31, -1.2, 2.05, 0.7,
+                                         -0.45, 1.6, -2.9};
+    const std::vector<double> x6 = {0.9, -0.35, 1.4, 0.05};
+    const std::vector<double> params4 = {-0.8, 1.1, 0.25, -2.2};
+    const std::vector<double> x4 = {0.6, -1.3};
+
+    struct TierGuard
+    {
+        ~TierGuard() { sim::clear_forced_tier(); }
+    } guard;
+    const int best = static_cast<int>(sim::best_supported_tier());
+    for (int t = 0; t <= best; ++t) {
+        sim::set_forced_tier(static_cast<sim::KernelTier>(t));
+        const NoisyDensitySimulator sim6(guadalupe);
+        const NoisyDensitySimulator sim4(perth);
+        EXPECT_EQ(bit_patterns(sim6.run_distribution(c6, params6, x6)),
+                  want_guadalupe)
+            << "tier " << t;
+        EXPECT_EQ(bit_patterns(sim4.run_distribution(c4, params4, x4)),
+                  want_perth)
+            << "tier " << t;
+        EXPECT_EQ(bit_patterns({sim6.one_shot_fidelity(replica)}),
+                  want_replica)
+            << "tier " << t;
+    }
+}
+
+TEST(NoisyDensity, RejectsNonFiniteBindings)
+{
+    const dev::Device dev = make_device("ibm_perth");
+    const NoisyDensitySimulator sim(dev);
+    const Circuit c = pinned_perth_circuit(dev);
+    const std::vector<double> params = {-0.8, 1.1, 0.25, -2.2};
+    const std::vector<double> x = {0.6, -1.3};
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(sim.run_distribution(c, {-0.8, nan, 0.25, -2.2}, x),
+                 elv::UsageError);
+    EXPECT_THROW(sim.run_distribution(c, params, {0.6, -inf}),
+                 elv::UsageError);
+    EXPECT_THROW(sim.fidelity(c, params, {nan, -1.3}), elv::UsageError);
+    EXPECT_THROW(sim.one_shot_fidelity(c, {inf, 1.1, 0.25, -2.2}, x),
+                 elv::UsageError);
+    EXPECT_NO_THROW(sim.run_distribution(c, params, x));
 }
 
 TEST(CrossBackend, StabilizerMatchesDensityOnCliffordCircuit)
