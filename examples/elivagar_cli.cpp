@@ -117,8 +117,6 @@ struct CliOptions
     bool search_only = false;
     /** Test hook: first local worker SIGKILLs itself after N records. */
     int dist_test_crash = 0;
-    /** Dead-structure pruning in CNR/RepCap scoring and training. */
-    bool prune_dead = false;
 };
 
 void
@@ -160,11 +158,6 @@ print_usage()
         "  --deadline-sec F   cancel the search after F seconds of "
         "wall clock\n"
         "                     (exit 3; journaled stages survive)\n"
-        "  --prune-dead       elide ops outside the measurement "
-        "lightcone\n"
-        "                     during CNR/RepCap scoring and training "
-        "(rankings\n"
-        "                     preserved; fingerprinted)\n"
         "  --fault-rate F     inject transient backend faults with "
         "probability F\n"
         "  --trace FILE       write a Chrome trace of the search "
@@ -229,8 +222,6 @@ parse(int argc, char **argv, CliOptions &options)
             options.checkpoint = value();
         else if (arg == "--deadline-sec")
             options.deadline_sec = std::atof(value());
-        else if (arg == "--prune-dead")
-            options.prune_dead = true;
         else if (arg == "--fault-rate")
             options.fault_rate = std::atof(value());
         else if (arg == "--trace")
@@ -902,10 +893,6 @@ main(int argc, char **argv)
         config.seed = options.seed;
         config.threads = options.threads < 0 ? 0 : options.threads;
         config.resilience.checkpoint_path = options.checkpoint;
-        if (options.prune_dead) {
-            config.cnr.prune_dead_structure = true;
-            config.repcap.prune_dead_structure = true;
-        }
         if (options.deadline_sec > 0.0) {
             // Same cooperative-cancellation machinery the server uses
             // for per-job deadlines; the hooks are not fingerprinted,
@@ -944,10 +931,6 @@ main(int argc, char **argv)
                 elv::fatal("--checkpoint journals an in-process "
                            "search; distributed runs journal per "
                            "shard — use --dist-state DIR");
-            if (options.prune_dead)
-                elv::fatal("--prune-dead is not plumbed through the "
-                           "worker job spec yet; drop --workers/"
-                           "--attach to use it");
             srv::JobSpec spec;
             spec.benchmark = options.benchmark;
             spec.device = options.device;
@@ -1056,7 +1039,6 @@ main(int argc, char **argv)
         tc.epochs = options.epochs;
         tc.threads = options.threads < 0 ? 0 : options.threads;
         tc.seed = options.seed + 1;
-        tc.prune_dead_structure = options.prune_dead;
         const auto trained =
             qml::train_circuit(found.best_circuit, bench.train, tc);
 

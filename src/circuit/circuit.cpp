@@ -161,15 +161,6 @@ Circuit::designate_embedding(std::size_t op_index, int data_index)
 }
 
 void
-Circuit::declare_params(int count)
-{
-    ELV_REQUIRE(count >= num_params_,
-                "declare_params cannot drop bound parameter slots");
-    num_params_ = count;
-    params_pinned_ = true;
-}
-
-void
 Circuit::set_measured(std::vector<int> qubits)
 {
     std::set<int> seen;

@@ -103,16 +103,6 @@ class Circuit
      */
     void designate_embedding(std::size_t op_index, int data_index);
 
-    /**
-     * Pin the declared parameter count to `count` (>= the count implied
-     * by the ops) and freeze slot numbering. append_op infers num_params
-     * as the highest bound slot + 1, which under-declares a circuit
-     * whose *trailing* slots are intentionally unbound — the shape the
-     * lint dataflow pruner produces when it elides dead rotations while
-     * keeping the parameter vector layout of the original circuit.
-     */
-    void declare_params(int count);
-
     /** Set the measured qubits (order defines output bit order). */
     void set_measured(std::vector<int> qubits);
 

@@ -4,8 +4,6 @@
 
 #include "circuit/clifford_replica.hpp"
 #include "common/logging.hpp"
-#include "lint/dataflow.hpp"
-#include "obs/metrics.hpp"
 
 namespace elv::core {
 
@@ -41,18 +39,8 @@ clifford_noise_resilience(const circ::Circuit &circuit,
 
     double fidelity_sum = 0.0;
     for (int m = 0; m < options.num_replicas; ++m) {
-        circ::Circuit replica = circ::make_clifford_replica(circuit, rng);
-        if (options.prune_dead_structure) {
-            // Prune the REPLICA, not the source: replica construction
-            // draws from `rng` per parametric gate, so eliding source
-            // ops first would shift the stream and change every
-            // replica after the first dead gate.
-            std::size_t elided = 0;
-            replica = lint::prune_to_lightcone(replica, &elided);
-            if (elided > 0)
-                ELV_METRIC_COUNT_N("lint.ops_elided",
-                                   static_cast<std::uint64_t>(elided));
-        }
+        const circ::Circuit replica =
+            circ::make_clifford_replica(circuit, rng);
         fidelity_sum += executor->replica_fidelity(replica, rng);
         ++result.circuit_executions;
         if (const exec::CallReport *report = executor->last_report()) {

@@ -134,17 +134,6 @@ config_fingerprint(const ElivagarConfig &config)
     fp_mix_double(h, config.keep_fraction);
     fp_mix_double(h, config.alpha_cnr);
     fp_mix(h, config.use_cnr ? 1 : 0);
-    // Dead-structure pruning changes scores only at the floating-point
-    // reassociation level, but resuming a journal written by the other
-    // setting would mix pruned and unpruned scores in one ranking —
-    // fingerprint it. Mixed conditionally so every pre-existing journal
-    // (flags default false) keeps its stored fingerprint.
-    if (config.cnr.prune_dead_structure ||
-        config.repcap.prune_dead_structure) {
-        fp_mix(h, 0x70727565ULL); // "prue" tag: domain separation
-        fp_mix(h, config.cnr.prune_dead_structure ? 1 : 0);
-        fp_mix(h, config.repcap.prune_dead_structure ? 1 : 0);
-    }
     return h;
 }
 
@@ -170,14 +159,6 @@ fingerprint_mismatch_hint(const ElivagarConfig &config,
         {"noise-aware candidate generation was toggled",
          [](ElivagarConfig &c) {
              c.candidate.noise_aware = !c.candidate.noise_aware;
-         }},
-        {"search-time dead-structure pruning was toggled "
-         "(--prune-dead)",
-         [](ElivagarConfig &c) {
-             const bool on = c.cnr.prune_dead_structure ||
-                             c.repcap.prune_dead_structure;
-             c.cnr.prune_dead_structure = !on;
-             c.repcap.prune_dead_structure = !on;
          }},
     };
     for (const Probe &probe : probes) {

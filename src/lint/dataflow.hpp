@@ -6,7 +6,7 @@
  * semantic layer: a small fixed-point dataflow framework over
  * `CircuitView` (forward and backward transfer over the op stream,
  * qubit- and parameter-indexed boolean abstract domains) plus the
- * three analyses the search pipeline consumes:
+ * three analyses the lint rules consume:
  *
  *  - **measurement lightcone** — backward reachability from the
  *    measured qubits through entangling gates. An op whose operands
@@ -29,11 +29,8 @@
  *    (sim::FusedProgram::const_prefix_source_ops carries the same
  *    region at the compiled level).
  *
- * On top of the analyses sit the two rewrites the pipeline wires in:
- * `prune_to_lightcone` (scoring-time: drops dead ops but preserves the
- * qubit register and the declared parameter slots, so RNG streams that
- * are sized by num_params stay aligned with the unpruned run) and
- * `elide_dead_structure` (autofix: drops dead ops AND dead params,
+ * On top of the analyses sits one rewrite, `elide_dead_structure`
+ * (the `lint --fix` autofix: drops dead ops AND dead params,
  * renumbering the survivors densely so the result serializes through
  * the native text format).
  *
@@ -153,7 +150,7 @@ struct LightconeAnalysis
     std::vector<int> dead_ops() const;
     /** Dead declared slots, increasing (bound-by-dead-ops only; slots
      *  bound by nothing at all are dead-code's finding, but they are
-     *  reported here too since pruning must handle both). */
+     *  reported here too since elision must handle both). */
     std::vector<int> dead_params() const;
 };
 
@@ -197,26 +194,14 @@ struct DataflowAnalysis
 DataflowAnalysis analyze_dataflow(const CircuitView &view);
 
 /**
- * Scoring-time prune: rebuild `circuit` without its out-of-cone ops.
- * The qubit register and the declared parameter count/slot numbering
- * are preserved (dead variational slots become holes), which is what
- * keeps RNG streams sized or indexed by num_params — RepCap's random
- * parameter draws, the trainer's initializer — aligned with the
- * unpruned evaluation. Circuits that measure nothing (or have nothing
- * to elide) come back unchanged. `ops_elided`, when non-null, is
- * incremented by the number of dropped ops.
- */
-circ::Circuit prune_to_lightcone(const circ::Circuit &circuit,
-                                 std::size_t *ops_elided = nullptr);
-
-/**
  * Autofix rewrite: drop dead ops AND the parameter slots that die with
  * them, renumbering surviving slots densely in op order — the form the
  * native text serialization can round-trip. Measured marginals are
  * preserved exactly (see the lightcone argument above); the parameter
  * vector shrinks, with `param_map[old_slot]` giving the new slot or -1
  * when elided. Unchanged circuits come back verbatim with an identity
- * map.
+ * map, and so do circuits that measure nothing or whose cone holds no
+ * op (eliding everything would leave a zero-op circuit).
  */
 struct FixResult
 {

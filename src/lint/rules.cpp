@@ -411,10 +411,10 @@ rule_dead_code(const CircuitView &c, const LintOptions &, Report &out)
  * dead-lightcone (warnings): ops outside the backward measurement
  * lightcone — their effects are traced out of every measured marginal,
  * so the simulators pay full price for provably-invisible structure.
- * Aggregated into one diagnostic (the autofix and the search-time
- * pruner elide the ops; see lint/dataflow.hpp). Skipped when nothing
- * is measured: the measurement rule owns that finding, and an empty
- * cone would indict every op for the wrong reason.
+ * Aggregated into one diagnostic (the `lint --fix` autofix elides the
+ * ops; see lint/dataflow.hpp). Skipped when nothing is measured: the
+ * measurement rule owns that finding, and an empty cone would indict
+ * every op for the wrong reason.
  */
 void
 rule_dead_lightcone(const CircuitView &c, const LintOptions &, Report &out)

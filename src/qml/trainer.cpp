@@ -8,7 +8,6 @@
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/validate.hpp"
-#include "lint/dataflow.hpp"
 #include "lint/preflight.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
@@ -79,53 +78,17 @@ train_circuit(const circ::Circuit &circuit, const Dataset &data,
     lint_options.input_width = data.dim();
     lint::preflight(circuit, lint::Boundary::Training, lint_options);
 
-    // Optional dead-structure elision: out-of-lightcone ops are removed
-    // and their parameter slots densely renumbered; param_map records
-    // original slot -> reduced slot (-1 = dropped).
-    lint::FixResult fix;
-    bool pruned = false;
-    if (config.prune_dead_structure) {
-        fix = lint::elide_dead_structure(circuit);
-        if (fix.ops_elided > 0) {
-            pruned = true;
-            ELV_METRIC_COUNT_N("lint.ops_elided",
-                               static_cast<std::uint64_t>(
-                                   fix.ops_elided));
-            if (fix.params_elided > 0)
-                ELV_METRIC_COUNT_N("lint.params_elided",
-                                   static_cast<std::uint64_t>(
-                                       fix.params_elided));
-        }
-    }
-    // elide_dead_structure preserves the register, so qubit labels of
-    // `source` stay physical (the provider path depends on that).
-    const circ::Circuit &source = pruned ? fix.circuit : circuit;
-
     // Work on the compacted circuit (Elivagar circuits live on large
     // devices); parameters are unaffected by compaction.
     std::vector<int> kept;
-    const circ::Circuit local = source.compacted(kept);
+    const circ::Circuit local = circuit.compacted(kept);
 
     elv::Rng rng(config.seed ^ 0x7261696eULL);
     TrainResult result;
-    // Draw initializations at the ORIGINAL parameter count even when
-    // pruning dropped slots: the per-epoch shuffles below share this
-    // stream, so the draw count must not depend on the prune.
-    std::vector<double> full_init(
-        static_cast<std::size_t>(circuit.num_params()));
-    for (auto &p : full_init)
+    result.params.resize(static_cast<std::size_t>(circuit.num_params()));
+    for (auto &p : result.params)
         p = rng.uniform(-M_PI, M_PI);
-    if (pruned) {
-        result.params.resize(
-            static_cast<std::size_t>(local.num_params()));
-        for (std::size_t s = 0; s < fix.param_map.size(); ++s)
-            if (fix.param_map[s] >= 0)
-                result.params[static_cast<std::size_t>(
-                    fix.param_map[s])] = full_init[s];
-    } else {
-        result.params = full_init;
-    }
-    if (full_init.empty()) {
+    if (result.params.empty()) {
         result.loss_history.assign(
             static_cast<std::size_t>(config.epochs), 0.0);
         return result;
@@ -200,12 +163,10 @@ train_circuit(const circ::Circuit &circuit, const Dataset &data,
                     const std::size_t idx = order[cursor + k];
                     // Pass the UNCOMPACTED circuit: providers interpret
                     // qubit labels as physical device qubits, which
-                    // compaction would strip (dead-structure elision
-                    // preserves the register, so `source` is safe).
-                    // Parameter slots and the measured-qubit order are
-                    // compaction-invariant.
+                    // compaction would strip. Parameter slots and the
+                    // measured-qubit order are compaction-invariant.
                     batch_grads.push_back(provider_shift_gradient(
-                        source, result.params, data.samples[idx],
+                        circuit, result.params, data.samples[idx],
                         projectors[static_cast<std::size_t>(
                             data.labels[idx])],
                         provider));
@@ -258,17 +219,6 @@ train_circuit(const circ::Circuit &circuit, const Dataset &data,
             seen > 0 ? epoch_loss / static_cast<double>(seen) : 0.0);
     }
 
-    if (pruned) {
-        // Expand back to the original slot layout: live slots carry
-        // their trained values, dead slots their initialization draws
-        // (what zero-gradient element-wise Adam leaves them at).
-        std::vector<double> expanded = std::move(full_init);
-        for (std::size_t s = 0; s < fix.param_map.size(); ++s)
-            if (fix.param_map[s] >= 0)
-                expanded[s] = result.params[static_cast<std::size_t>(
-                    fix.param_map[s])];
-        result.params = std::move(expanded);
-    }
     return result;
 }
 

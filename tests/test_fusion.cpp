@@ -830,8 +830,8 @@ TEST(BatchedTraining, BitIdenticalForEveryThreadCount)
 /**
  * Four qubits mixing fusable fixed gates with every gate kind the
  * trainer differentiates (RX/RY/RZ/U3/CRY). Qubit 3 never couples to
- * the measured qubit, so prune_dead_structure elides its two ops and
- * one parameter slot.
+ * the measured qubit: its two ops and one parameter slot lie outside
+ * the measurement lightcone.
  */
 circ::Circuit
 pinned_training_circuit()
@@ -863,17 +863,16 @@ TEST(BatchedTraining, PinnedToParentCommit)
     // program up in the process-wide FusionCache on every sample and
     // copied a state per parameter slot in the adjoint sweep. Compiling
     // once per call and reusing sweep scratch must not move a single
-    // bit, for either backend, at any thread count, pruned or not.
+    // bit, for either backend, at any thread count.
     struct Pinned
     {
         qml::GradientBackend backend;
-        bool prune;
         std::uint64_t executions;
         std::array<std::uint64_t, 9> params;
         std::array<std::uint64_t, 3> loss;
     };
     const Pinned pinned[] = {
-        {qml::GradientBackend::Adjoint, false, 180,
+        {qml::GradientBackend::Adjoint, 180,
          {0xbff1262d10e8163eULL, 0x3ff5023105080debULL,
           0x3fc683335dcc6630ULL, 0x3ff6444331573ef2ULL,
           0xc00452c74a0f81c1ULL, 0x3ffa79f9280ccb3dULL,
@@ -881,15 +880,7 @@ TEST(BatchedTraining, PinnedToParentCommit)
           0xbfb8d490ee9ef81eULL},
          {0x3fedeaa4b4f10cc0ULL, 0x3fe6d6a1f71923d7ULL,
           0x3fe2b77fe4a26b2bULL}},
-        {qml::GradientBackend::Adjoint, true, 180,
-         {0xbff1262d10e8163fULL, 0x3ff5023105216dd8ULL,
-          0x3fc6833362b7771dULL, 0x3ff644433171194bULL,
-          0xc00452c74a10eaaeULL, 0x3ffa79f928300e06ULL,
-          0xc0065038c32e2f30ULL, 0xc000bada71c8cb10ULL,
-          0xbfb8d490ee40da00ULL},
-         {0x3fedeaa4b4f10cc2ULL, 0x3fe6d6a1f71923d9ULL,
-          0x3fe2b77fe4a26b2cULL}},
-        {qml::GradientBackend::ParameterShift, false, 3780,
+        {qml::GradientBackend::ParameterShift, 3780,
          {0xbff1262d10e8163fULL, 0x3ff5023104fb4265ULL,
           0x3fc6833366063ff7ULL, 0x3ff6444330bf52f6ULL,
           0xc00452c74a72cee9ULL, 0x3ffa79f9282006ceULL,
@@ -897,14 +888,6 @@ TEST(BatchedTraining, PinnedToParentCommit)
           0xbfb8d490f045a791ULL},
          {0x3fedeaa4b4f10cc1ULL, 0x3fe6d6a1f71923d7ULL,
           0x3fe2b77fe4a26b2bULL}},
-        {qml::GradientBackend::ParameterShift, true, 3420,
-         {0xbff1262d10e8163fULL, 0x3ff50231054d1d55ULL,
-          0x3fc683335f390218ULL, 0x3ff6444331b95ea8ULL,
-          0xc00452c74a1d0429ULL, 0x3ffa79f92821fd4aULL,
-          0xc0065038c315baa4ULL, 0xc000bada7174780cULL,
-          0xbfb8d490ee40da00ULL},
-         {0x3fedeaa4b4f10cc1ULL, 0x3fe6d6a1f71923d5ULL,
-          0x3fe2b77fe4a26b2cULL}},
     };
 
     const qml::Benchmark bench = qml::make_benchmark("moons", 17, 0.1);
@@ -918,14 +901,12 @@ TEST(BatchedTraining, PinnedToParentCommit)
             tc.seed = 5;
             tc.backend = pin.backend;
             tc.threads = threads;
-            tc.prune_dead_structure = pin.prune;
             const qml::TrainResult got =
                 qml::train_circuit(c, bench.train, tc);
             const std::string where =
                 std::string(pin.backend == qml::GradientBackend::Adjoint
                                 ? "adjoint"
                                 : "parameter-shift") +
-                (pin.prune ? " pruned" : "") +
                 " threads=" + std::to_string(threads);
             EXPECT_EQ(got.circuit_executions, pin.executions) << where;
             ASSERT_EQ(got.params.size(), pin.params.size()) << where;

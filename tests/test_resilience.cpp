@@ -347,6 +347,38 @@ TEST(Resilience, DefaultConfigFingerprintIsPinned)
     EXPECT_EQ(config_fingerprint(ElivagarConfig{}), 0x902d077d099a5636ULL);
 }
 
+TEST(Resilience, PruneDeadJournalIsRefused)
+{
+    // Search-time dead-structure pruning is gone. A journal it wrote
+    // over a default config (both prune flags on) carries this
+    // fingerprint; its pruned scores must never be resumed into an
+    // unpruned ranking.
+    const char *pruned_default = "2847396903fa2ce4";
+    const std::string path = journal_path("prune_dead");
+    std::string written;
+    {
+        std::ostringstream out;
+        out << "elv-search-journal 2\n";
+        out << "fingerprint " << pruned_default << "\n";
+        out << record_with_checksum("cnr 0 0x1p+0 4 0 0") << "\n";
+        written = out.str();
+        std::ofstream(path, std::ios::binary) << written;
+    }
+
+    ElivagarConfig config;
+    config.resilience.checkpoint_path = path;
+    const qml::Benchmark bench = qml::make_benchmark("mnist-4", 10, 0.1);
+    const dev::Device device = dev::make_device("ibm_perth");
+    EXPECT_THROW(elivagar_search(device, bench.train, config), UsageError);
+
+    // Refused before anything ran: the journal is left as it was.
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream kept;
+    kept << in.rdbuf();
+    EXPECT_EQ(kept.str(), written);
+    std::remove(path.c_str());
+}
+
 TEST(Resilience, FingerprintHintCoversSingleFieldMutations)
 {
     const qml::Benchmark bench = qml::make_benchmark("moons", 10, 0.1);
